@@ -9,34 +9,52 @@
 // Omega(log N) -- exactly what this object pays.  Sums of single-writer,
 // non-decreasing leaves are monotone, so the CAS substitution is ABA-free
 // (see propagate.h).
+//
+// The counter is a farray::SumFArray whose slot p holds process p's
+// increment count, plus a process-local copy of that count so an increment
+// need not read its own slot back.
 #pragma once
 
+#include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "ruco/core/types.h"
+#include "ruco/farray/farray.h"
 #include "ruco/runtime/padded.h"
-#include "ruco/util/tree_shape.h"
 
 namespace ruco::counter {
 
 class FArrayCounter {
  public:
-  explicit FArrayCounter(std::uint32_t num_processes);
+  explicit FArrayCounter(std::uint32_t num_processes)
+      : sums_{num_processes, 0},
+        local_count_(num_processes, runtime::PaddedAtomic<Value>{0}) {}
 
   /// Number of increments linearized so far.  One step.
-  [[nodiscard]] Value read(ProcId proc) const;
+  [[nodiscard]] Value read(ProcId proc) const {
+    return sums_.read_aggregate(proc);
+  }
 
   /// Adds one to the count on behalf of process `proc`.  O(log N) steps.
-  void increment(ProcId proc);
+  void increment(ProcId proc) {
+    assert(proc < num_processes());
+    // local_count_ is process-private bookkeeping (each slot written by one
+    // process only); relaxed suffices and it is not a shared-memory step.
+    const Value next =
+        local_count_[proc].value.load(std::memory_order_relaxed) + 1;
+    local_count_[proc].value.store(next, std::memory_order_relaxed);
+    sums_.update(proc, next);
+  }
 
-  [[nodiscard]] std::uint32_t num_processes() const noexcept { return n_; }
+  [[nodiscard]] std::uint32_t num_processes() const noexcept {
+    return sums_.num_slots();
+  }
 
  private:
-  std::uint32_t n_;
-  util::TreeShape shape_;
-  std::vector<runtime::PaddedAtomic<Value>> values_;
-  // Process-local mirror of the (single-writer) leaf: saves the leaf read.
+  farray::SumFArray sums_;
+  // Process-local mirror of the (single-writer) slot: saves the slot read.
   // Padded so neighbouring processes' mirrors do not false-share.
   std::vector<runtime::PaddedAtomic<Value>> local_count_;
 };

@@ -15,10 +15,10 @@
 // *smaller* value to a slot under Max) are not linearizable through this
 // construction; the tests demonstrate the failure mode.
 //
-// FArrayCounter, FArraySnapshot and Algorithm A's propagation are the three
-// specializations the paper's storyline needs; this template is the
-// general component a downstream user would reach for (e.g. min/max
-// watermarks, monotone bitmask unions).
+// counter::FArrayCounter is a SumFArray plus a process-local count;
+// FArraySnapshot and Algorithm A run the same propagate_twice over their own
+// node types.  This template is the general component a downstream user
+// would reach for (e.g. min/max watermarks, monotone bitmask unions).
 #pragma once
 
 #include <cstdint>
@@ -57,7 +57,8 @@ class FArray {
     // Release pairs with the acquire child loads in propagate_twice (ours
     // and every concurrent refresher's).
     values_[leaf].value.store(v, runtime::mo_release);
-    maxreg::propagate_twice(shape_, values_, leaf, combine_);
+    maxreg::propagate_twice(shape_, maxreg::padded_cells(values_), leaf,
+                            combine_);
   }
 
   /// The aggregate over all slots.  One step.

@@ -1,6 +1,11 @@
 // The double-refresh propagation loop shared by Algorithm A's max register
-// and the f-array counter / snapshot (Hendler & Khait Algorithm A lines 3-9;
-// Jayanti's Tree Algorithm adapted from LL/SC to CAS).
+// and the f-array family (Hendler & Khait Algorithm A lines 3-9; Jayanti's
+// Tree Algorithm adapted from LL/SC to CAS).  This is the one hardware
+// implementation of the protocol: the production objects instantiate it over
+// std::atomic cells, and the RC11 weak-memory checker (ruco/wmm/kernels.h)
+// instantiates the same template over wmm::Atomic cells, so the orders it
+// certifies are the orders of the code that ships.  The simulator's
+// step-by-step twin is simalgos::sim_propagate.
 //
 // At every node on the path from `start` to the root, the caller's combine
 // function is evaluated over the two children and CASed into the node.
@@ -63,26 +68,56 @@
 #include <cstdint>
 #include <vector>
 
-#include "ruco/core/types.h"
 #include "ruco/maxreg/refresh_policy.h"
 #include "ruco/runtime/memorder.h"
 #include "ruco/runtime/padded.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/telemetry/metrics.h"
-#include "ruco/util/tree_shape.h"
 
 namespace ruco::maxreg {
 
+/// Per-site memory orders of the protocol, defaulting to the shipped
+/// `runtime::mo_*` constants.  The loop uses the middle four; `leaf_store`
+/// and `root_read` are the callers' sites.  The wmm checker weakens these.
+struct PropagateOrders {
+  std::memory_order leaf_store = runtime::mo_release;
+  std::memory_order node_load = runtime::mo_acquire;  // see file comment
+  std::memory_order child_load = runtime::mo_acquire;
+  std::memory_order cas_ok = runtime::mo_release;
+  std::memory_order cas_fail = runtime::mo_relaxed;
+  std::memory_order root_read = runtime::mo_acquire;
+};
+
+/// The PropagateOrders defaults as compile-time constants, for production:
+/// GCC compiles an atomic whose memory_order is not a constant as seq_cst.
+struct ShippedOrders {
+  static constexpr PropagateOrders kOrders{};
+  static constexpr std::memory_order node_load = kOrders.node_load;
+  static constexpr std::memory_order child_load = kOrders.child_load;
+  static constexpr std::memory_order cas_ok = kOrders.cas_ok;
+  static constexpr std::memory_order cas_fail = kOrders.cas_fail;
+};
+
+/// Cell accessor over the production layout: node n is `values[n].value`.
+template <typename T>
+auto padded_cells(std::vector<runtime::PaddedAtomic<T>>& values) {
+  return [&values](std::uint32_t n) -> std::atomic<T>& {
+    return values[n].value;
+  };
+}
+
 /// Propagates from the *parent* of `start` up to the root of `shape`.
-/// `values[n]` is the atomic cell of node n; `combine(l, r)` computes the
-/// new aggregate from the two child values.  T must be trivially copyable,
-/// equality-comparable, and the sequence of values at every cell monotone
-/// under `combine` (see file comment).
-template <typename Shape, typename T, typename Combine>
-void propagate_twice(const Shape& shape,
-                     std::vector<runtime::PaddedAtomic<T>>& values,
+/// `cell(n)` returns node n's atomic cell -- anything with the std::atomic
+/// `load` / `compare_exchange_strong` surface; `combine(l, r)` computes the
+/// new aggregate from the two child values.  The cell value type must be
+/// trivially copyable, equality-comparable, and the sequence of values at
+/// every cell monotone under `combine` (see file comment).
+template <typename Shape, typename Cell, typename Combine,
+          typename Orders = ShippedOrders>
+void propagate_twice(const Shape& shape, Cell&& cell,
                      typename Shape::NodeId start, Combine&& combine,
-                     RefreshPolicy policy = RefreshPolicy::kConditional) {
+                     RefreshPolicy policy = RefreshPolicy::kConditional,
+                     const Orders& orders = {}) {
   using NodeId = typename Shape::NodeId;
   const bool conditional = policy == RefreshPolicy::kConditional;
   // Batched telemetry: tally in locals, publish once per propagation so the
@@ -102,12 +137,12 @@ void propagate_twice(const Shape& shape,
       runtime::step_tick();
       // Acquire, not relaxed: the skip/stop decisions below need the
       // installer's child reads to happen-before ours (see file comment).
-      T old_value = values[n].value.load(runtime::mo_acquire);
+      auto old_value = cell(n).load(orders.node_load);
       runtime::step_tick();
-      const T lv = values[l].value.load(runtime::mo_acquire);
+      const auto lv = cell(l).load(orders.child_load);
       runtime::step_tick();
-      const T rv = values[r].value.load(runtime::mo_acquire);
-      const T new_value = combine(lv, rv);
+      const auto rv = cell(r).load(orders.child_load);
+      const decltype(old_value) new_value = combine(lv, rv);
       if (conditional && new_value == old_value) {
         // Pure-load level: the node already holds the covering aggregate.
         ++skipped;
@@ -115,9 +150,8 @@ void propagate_twice(const Shape& shape,
       }
       runtime::step_tick();
       ++attempts;
-      if (values[n].value.compare_exchange_strong(old_value, new_value,
-                                                  runtime::mo_release,
-                                                  runtime::mo_relaxed)) {
+      if (cell(n).compare_exchange_strong(old_value, new_value, orders.cas_ok,
+                                          orders.cas_fail)) {
         if (conditional) break;  // won: combine read after our child update
       } else {
         ++failures;

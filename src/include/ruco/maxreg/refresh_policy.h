@@ -1,5 +1,6 @@
 // Refresh policy for the Jayanti-style double-refresh propagation loop
-// (ruco/maxreg/propagate.h and its simulation-layer mirrors).
+// (ruco/maxreg/propagate.h and its simulation-layer twin,
+// simalgos::sim_propagate).
 #pragma once
 
 #include <cstdint>

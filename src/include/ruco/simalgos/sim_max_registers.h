@@ -32,7 +32,8 @@ namespace ruco::simalgos {
 /// first CAS wins and skips the CAS entirely when the recomputed max equals
 /// the node's current value; kAlwaysTwice is the paper-literal shape.  The
 /// model checker verifies both reach the same linearizations
-/// (hotpath_test).
+/// (hotpath_test).  The loop itself is simalgos::sim_propagate
+/// (ruco/simalgos/sim_propagate.h), shared with SimFArrayCounter.
 class SimTreeMaxRegister {
  public:
   SimTreeMaxRegister(

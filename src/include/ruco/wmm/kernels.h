@@ -1,25 +1,26 @@
-// Protocol kernels: the production hot-path synchronization patterns
-// transcribed as litmus programs against the real `runtime::mo_*`
-// constants, with their correctness conditions as machine-checked
-// invariants over all RC11-consistent executions.
-//
-// Five kernels cover the order table in DESIGN.md ("Hot-path
-// engineering"):
+// Protocol kernels: the production hot-path synchronization patterns run
+// against the real `runtime::mo_*` constants, with their correctness
+// conditions as machine-checked invariants over all RC11-consistent
+// executions.  Five kernels cover the order table in DESIGN.md ("Hot-path
+// engineering"); the last three are litmus programs of the callers' code
+// around the propagate loop:
 //
 //   propagate-counter/{conditional,always-twice}
-//       `propagate_twice` (ruco/maxreg/propagate.h) on a 2-leaf tree
-//       with two concurrent increments, both RefreshPolicy variants.
+//       The production `maxreg::propagate_twice` (ruco/maxreg/propagate.h)
+//       itself, over wmm::Atomic cells of util::complete_shape(2), with
+//       two concurrent increments, both RefreshPolicy variants.
 //       Invariants: no lost increment (final node == 2) and no
 //       monotonicity regression (the node's modification order is
 //       nondecreasing) -- the PR-4 node-load bug class.
 //
 //   propagate-snapshot
-//       The same propagation with a non-atomic payload published before
-//       the leaf store (the f-array snapshot / pointer-carrying
-//       aggregate shape).  Invariant: every payload read is race-free
-//       and sees the published value -- this is the kernel that makes
-//       the *child* acquire load load-bearing (for the pure counter it
-//       is not; see wmm_test's minimality tests).
+//       The same template with a non-atomic payload published before
+//       the leaf store and dereferenced by the combine (the f-array
+//       snapshot / pointer-carrying aggregate shape).  Invariant: every
+//       payload read is race-free and sees the published value -- this
+//       is the kernel that makes the *child* acquire load load-bearing
+//       (for the pure counter it is not; see wmm_test's minimality
+//       tests).
 //
 //   root-read
 //       TreeMaxRegister's read fast path: an acquire root load
@@ -49,23 +50,13 @@
 #include <string>
 #include <vector>
 
+#include "ruco/maxreg/propagate.h"
 #include "ruco/maxreg/refresh_policy.h"
 #include "ruco/runtime/memorder.h"
+#include "ruco/util/tree_shape.h"
 #include "ruco/wmm/explore.h"
 
 namespace ruco::wmm {
-
-/// Per-site orders of the propagation protocol, defaulting to the
-/// shipped `runtime::mo_*` constants (so a RUCO_SEQCST_ATOMICS build
-/// checks the collapsed configuration automatically).
-struct PropagateOrders {
-  std::memory_order leaf_store = runtime::mo_release;
-  std::memory_order node_load = runtime::mo_acquire;  // the PR-4 fix site
-  std::memory_order child_load = runtime::mo_acquire;
-  std::memory_order cas_ok = runtime::mo_release;
-  std::memory_order cas_fail = runtime::mo_relaxed;
-  std::memory_order root_read = runtime::mo_acquire;
-};
 
 /// Per-site orders of the MCAS descriptor-publication pattern,
 /// mirroring src/kcas/mcas.cpp.
@@ -85,11 +76,17 @@ struct Kernel {
   Invariant invariant;
 };
 
+/// One atomic location per node of `shape`, indexed by NodeId: the cells
+/// a propagate_twice instantiation runs over.  The root is location 0,
+/// named "node"; the other nodes follow in NodeId order as "n<id>".
+std::vector<Atomic<Value>> tree_cells(Program& program,
+                                      const util::TreeShape& shape);
+
 Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
-                                     const PropagateOrders& o = {});
-Kernel make_propagate_snapshot_kernel(const PropagateOrders& o = {});
-Kernel make_root_read_kernel(const PropagateOrders& o = {});
-Kernel make_leaf_handoff_kernel(const PropagateOrders& o = {});
+                                     const maxreg::PropagateOrders& o = {});
+Kernel make_propagate_snapshot_kernel(const maxreg::PropagateOrders& o = {});
+Kernel make_root_read_kernel(const maxreg::PropagateOrders& o = {});
+Kernel make_leaf_handoff_kernel(const maxreg::PropagateOrders& o = {});
 Kernel make_mcas_publication_kernel(const McasOrders& o = {});
 
 /// All kernels at the shipped orders.  The acceptance bar: zero

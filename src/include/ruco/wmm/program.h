@@ -1,9 +1,11 @@
 // Litmus-program builder and the wmm::Atomic<T> shim.
 //
 // A Program is a set of shared locations plus thread bodies written as
-// ordinary C++ lambdas against Atomic<T>/Plain<T> handles -- the same
-// shape as the production code, so protocol kernels can be transcribed
-// line-for-line against the real `runtime::mo_*` constants.
+// ordinary C++ lambdas against Atomic<T>/Plain<T> handles.  Atomic<T> has
+// the std::atomic load / store / compare_exchange_strong surface, so a
+// body can call production templates unchanged: the propagation kernels
+// run maxreg::propagate_twice (ruco/maxreg/propagate.h) itself over
+// Atomic<Value> cells.
 //
 // The explorer needs to run a thread up to its Nth shared-memory
 // operation with *chosen* results for the first N-1.  Bodies are plain

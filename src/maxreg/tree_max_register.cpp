@@ -59,13 +59,13 @@ void TreeMaxRegister::write_max(ProcId proc, Value v) {
     // subsequent ReadMax.
     telemetry::prod().tree_duplicate_writes.inc();
     if (mode_ == Faithfulness::kHelpOnDuplicate) {
-      propagate_twice(shape_, values_, leaf, combine_max);
+      propagate_twice(shape_, padded_cells(values_), leaf, combine_max);
     }
     return;
   }
   runtime::step_tick();
   values_[leaf].value.store(v, runtime::mo_release);
-  propagate_twice(shape_, values_, leaf, combine_max);
+  propagate_twice(shape_, padded_cells(values_), leaf, combine_max);
 }
 
 std::uint32_t TreeMaxRegister::write_leaf_depth(ProcId proc, Value v) const {

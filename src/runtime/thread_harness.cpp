@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 
 #include "ruco/telemetry/metrics.h"
 
@@ -103,16 +104,12 @@ RunThreadsResult run_threads(std::size_t count,
         result.hang.stuck.push_back(i);
       }
     }
-    std::string diag = "run_threads watchdog: deadline of " +
-                       std::to_string(watchdog.deadline.count()) +
-                       " ms passed with " +
-                       std::to_string(result.hang.stuck.size()) + " of " +
-                       std::to_string(count) + " workers still running;" +
-                       " stuck thread index(es):";
-    for (const std::size_t i : result.hang.stuck) {
-      diag += " " + std::to_string(i);
-    }
-    result.hang.diagnostic = std::move(diag);
+    std::ostringstream diag;
+    diag << "run_threads watchdog: deadline of " << watchdog.deadline.count()
+         << " ms passed with " << result.hang.stuck.size() << " of " << count
+         << " workers still running; stuck thread index(es):";
+    for (const std::size_t i : result.hang.stuck) diag << ' ' << i;
+    result.hang.diagnostic = diag.str();
     if (watchdog.on_hang) {
       watchdog.on_hang(result.hang);
     } else {

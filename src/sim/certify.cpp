@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,10 @@ std::string drive(System& sys, FaultInjector& injector, std::uint64_t bound,
     ++slots;
     if (outcome == FaultInjector::Outcome::kStepped &&
         sys.steps_taken(p) > bound) {
-      return "p" + std::to_string(p) + " exceeded the step bound (" +
-             std::to_string(sys.steps_taken(p)) + " > " +
-             std::to_string(bound) + " steps); not wait-free under crashes";
+      std::ostringstream diag;
+      diag << 'p' << p << " exceeded the step bound (" << sys.steps_taken(p)
+           << " > " << bound << " steps); not wait-free under crashes";
+      return diag.str();
     }
     if (!sys.active(p)) {  // completed or crashed
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
@@ -47,8 +49,10 @@ std::string drive(System& sys, FaultInjector& injector, std::uint64_t bound,
     }
   }
   if (!live.empty()) {
-    return "p" + std::to_string(live.front()) +
-           " still active after the schedule budget (blocked survivor)";
+    std::ostringstream diag;
+    diag << 'p' << live.front()
+         << " still active after the schedule budget (blocked survivor)";
+    return diag.str();
   }
   return {};
 }
@@ -108,8 +112,9 @@ WaitFreedomReport certify_wait_freedom(const Program& program,
       CrashJob job;
       job.plan.crash_at.push_back(
           CrashPoint{p, k, CrashPoint::Basis::kOwnSteps});
-      job.label = "sweep crash(p" + std::to_string(p) + " after " +
-                  std::to_string(k) + " steps)";
+      std::ostringstream label;
+      label << "sweep crash(p" << p << " after " << k << " steps)";
+      job.label = label.str();
       jobs.push_back(std::move(job));
     }
   }
@@ -121,7 +126,7 @@ WaitFreedomReport certify_wait_freedom(const Program& program,
     job.plan.max_random_crashes = quota;
     job.plan.crash_per_mille = options.crash_per_mille;
     job.storm = true;
-    job.label = "storm seed " + std::to_string(seed);
+    job.label = std::string{"storm seed "}.append(std::to_string(seed));
     jobs.push_back(std::move(job));
   }
 

@@ -1,5 +1,7 @@
 #include "ruco/sim/event.h"
 
+#include <sstream>
+
 namespace ruco::sim {
 
 const char* to_string(Prim p) noexcept {
@@ -17,33 +19,31 @@ const char* to_string(Prim p) noexcept {
 }
 
 std::string Event::to_string() const {
-  std::string s = "p" + std::to_string(proc) + " " + sim::to_string(prim) +
-                  " o" + std::to_string(obj);
+  std::ostringstream s;
+  s << 'p' << proc << ' ' << sim::to_string(prim);
+  if (prim != Prim::kKcas) s << " o" << obj;
   switch (prim) {
     case Prim::kRead:
-      s += " -> " + std::to_string(observed);
+      s << " -> " << observed;
       break;
     case Prim::kWrite:
-      s += " := " + std::to_string(arg);
+      s << " := " << arg;
       break;
     case Prim::kCas:
-      s += "(" + std::to_string(expected) + " -> " + std::to_string(arg) +
-           ") = " + (observed != 0 ? "ok" : "fail");
+      s << '(' << expected << " -> " << arg << ") = "
+        << (observed != 0 ? "ok" : "fail");
       break;
-    case Prim::kKcas: {
-      s = "p" + std::to_string(proc) + " kcas";
+    case Prim::kKcas:
       for (const auto& entry : kcas) {
-        s += " o" + std::to_string(entry.obj) + "(" +
-             std::to_string(entry.expected) + "->" +
-             std::to_string(entry.desired) + ")";
+        s << " o" << entry.obj << '(' << entry.expected << "->"
+          << entry.desired << ')';
       }
-      s += std::string{" = "} + (observed != 0 ? "ok" : "fail");
+      s << " = " << (observed != 0 ? "ok" : "fail");
       break;
-    }
   }
-  if (spurious) s += " [spurious]";
-  if (!changed) s += " [trivial]";
-  return s;
+  if (spurious) s << " [spurious]";
+  if (!changed) s << " [trivial]";
+  return s.str();
 }
 
 Trace erase_processes(const Trace& trace, const std::vector<bool>& erase) {

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <utility>
 
 #include "ruco/sim/parallel.h"
@@ -739,24 +740,24 @@ ModelCheckResult model_check(const Program& program, const Verdict& verdict,
 std::string render_schedule(const Program& program,
                             const std::vector<ProcId>& schedule) {
   System sys{program};
-  std::string out;
+  std::ostringstream out;
   for (const ProcId choice : schedule) {
     if (is_crash_choice(choice)) {
       const ProcId p = choice_proc(choice);
       if (!sys.crash(p)) {
-        out += "<process p" + std::to_string(p) + " not crashable>\n";
+        out << "<process p" << p << " not crashable>\n";
         break;
       }
-      out += "p" + std::to_string(p) + " CRASH\n";
+      out << 'p' << p << " CRASH\n";
       continue;
     }
     if (!sys.step(choice)) {
-      out += "<process p" + std::to_string(choice) + " not steppable>\n";
+      out << "<process p" << choice << " not steppable>\n";
       break;
     }
-    out += sys.trace().back().to_string() + "\n";
+    out << sys.trace().back().to_string() << '\n';
   }
-  return out;
+  return out.str();
 }
 
 }  // namespace ruco::sim

@@ -1,6 +1,7 @@
 #include "ruco/sim/trace_render.h"
 
 #include <algorithm>
+#include <sstream>
 #include <vector>
 
 #include "ruco/sim/awareness.h"
@@ -10,29 +11,26 @@ namespace ruco::sim {
 namespace {
 
 std::string cell_text(const Event& e, bool mark_trivial) {
-  std::string s;
+  std::ostringstream s;
+  s << to_string(e.prim);
   switch (e.prim) {
     case Prim::kRead:
-      s = "read o" + std::to_string(e.obj) + " -> " +
-          std::to_string(e.observed);
+      s << " o" << e.obj << " -> " << e.observed;
       break;
     case Prim::kWrite:
-      s = "write o" + std::to_string(e.obj) + " := " + std::to_string(e.arg);
+      s << " o" << e.obj << " := " << e.arg;
       break;
     case Prim::kCas:
-      s = "cas o" + std::to_string(e.obj) + "(" + std::to_string(e.expected) +
-          "->" + std::to_string(e.arg) + ") " +
-          (e.observed != 0 ? "ok" : "fail");
+      s << " o" << e.obj << '(' << e.expected << "->" << e.arg << ") "
+        << (e.observed != 0 ? "ok" : "fail");
       break;
-    case Prim::kKcas: {
-      s = "kcas";
-      for (const auto& w : e.kcas) s += " o" + std::to_string(w.obj);
-      s += e.observed != 0 ? " ok" : " fail";
+    case Prim::kKcas:
+      for (const auto& w : e.kcas) s << " o" << w.obj;
+      s << (e.observed != 0 ? " ok" : " fail");
       break;
-    }
   }
-  if (mark_trivial && !e.changed && e.prim != Prim::kRead) s += " .";
-  return s;
+  if (mark_trivial && !e.changed && e.prim != Prim::kRead) s << " .";
+  return s.str();
 }
 
 }  // namespace
@@ -57,8 +55,8 @@ std::string render_trace(const Trace& trace, std::size_t num_processes,
   }
   std::string out;
   for (std::size_t p = 0; p < num_processes; ++p) {
-    const std::string head = "p" + std::to_string(p);
-    out += head + std::string(width[p] - head.size() + 2, ' ');
+    const std::string head = std::string{"p"}.append(std::to_string(p));
+    out.append(head).append(width[p] - head.size() + 2, ' ');
   }
   out += '\n';
   for (std::size_t i = 0; i < limit; ++i) {
@@ -74,7 +72,9 @@ std::string render_trace(const Trace& trace, std::size_t num_processes,
     out += '\n';
   }
   if (limit < trace.size()) {
-    out += "... (" + std::to_string(trace.size() - limit) + " more)\n";
+    out += "... (";
+    out += std::to_string(trace.size() - limit);
+    out += " more)\n";
   }
   return out;
 }
@@ -101,16 +101,15 @@ std::string knowledge_dot(const Trace& trace, std::size_t num_processes,
           Edge{source, learner, trace[first[learner]].obj});
     }
   }
-  std::string out = "digraph knowledge {\n  rankdir=LR;\n";
-  for (std::size_t p = 0; p < num_processes; ++p) {
-    out += "  p" + std::to_string(p) + ";\n";
-  }
+  std::ostringstream out;
+  out << "digraph knowledge {\n  rankdir=LR;\n";
+  for (std::size_t p = 0; p < num_processes; ++p) out << "  p" << p << ";\n";
   for (const Edge& e : edges) {
-    out += "  p" + std::to_string(e.from) + " -> p" + std::to_string(e.to) +
-           " [label=\"o" + std::to_string(e.via) + "\"];\n";
+    out << "  p" << e.from << " -> p" << e.to << " [label=\"o" << e.via
+        << "\"];\n";
   }
-  out += "}\n";
-  return out;
+  out << "}\n";
+  return out.str();
 }
 
 }  // namespace ruco::sim

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "ruco/simalgos/sim_propagate.h"
 #include "ruco/util/bits.h"
 
 namespace ruco::simalgos {
@@ -32,26 +33,10 @@ sim::Op SimTreeMaxRegister::read_max(sim::Ctx& ctx) const {
 sim::Op SimTreeMaxRegister::propagate(sim::Ctx& ctx,
                                       util::TreeShape::NodeId leaf) const {
   // Paper Algorithm A, lines 3-9: double compute-max-and-CAS per level.
-  // Under kConditional this mirrors the production pruning in
-  // ruco/maxreg/propagate.h: a no-change recompute skips the CAS (the node
-  // already covers our subtree), and a won CAS skips the second round (the
-  // winning CAS read both children after our child update, so it covers
-  // us).  kAlwaysTwice is the paper-literal shape.
-  const bool conditional = policy_ == maxreg::RefreshPolicy::kConditional;
-  auto n = leaf;
-  while (shape_.parent(n) != util::AlgorithmATreeShape::kNil) {
-    n = shape_.parent(n);
-    for (int attempt = 0; attempt < propagate_attempts_; ++attempt) {
-      const Value old_value = co_await ctx.read(objects_[n]);
-      const Value l = co_await ctx.read(objects_[shape_.left(n)]);
-      const Value r = co_await ctx.read(objects_[shape_.right(n)]);
-      const Value new_value = std::max(l, r);
-      if (conditional && new_value == old_value) break;
-      const Value ok = co_await ctx.cas(objects_[n], old_value, new_value);
-      if (conditional && ok != 0) break;
-    }
-  }
-  co_return 0;
+  return sim_propagate(
+      ctx, shape_, objects_, leaf,
+      [](Value l, Value r) { return std::max(l, r); }, propagate_attempts_,
+      policy_);
 }
 
 sim::Op SimTreeMaxRegister::write_max(sim::Ctx& ctx, Value v) const {

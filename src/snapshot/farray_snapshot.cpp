@@ -68,7 +68,7 @@ void FArraySnapshot::update(ProcId proc, Value v) {
   // root load) dereferences it.
   nodes_[leaf].value.store(leaf_ptr, runtime::mo_release);
   maxreg::propagate_twice(
-      shape_, nodes_, leaf,
+      shape_, maxreg::padded_cells(nodes_), leaf,
       [this, proc](const View* l, const View* r) { return merge(proc, l, r); });
 }
 

@@ -133,7 +133,7 @@ void sim_timeline(const sim::System& sys, TimelineWriter& out,
   const std::size_t n = sys.num_processes();
   out.set_process_name(kPid, "simulator");
   for (std::uint32_t p = 0; p < n; ++p) {
-    out.set_thread_name(kPid, p, "P" + std::to_string(p));
+    out.set_thread_name(kPid, p, std::string{"P"}.append(std::to_string(p)));
   }
   std::vector<std::uint64_t> last_event(n, 0);
   std::vector<bool> stepped(n, false);
@@ -165,7 +165,8 @@ void sim_timeline(const sim::System& sys, TimelineWriter& out,
       if (origin == sim::kNeverAware) continue;
       for (std::uint32_t p = 0; p < n; ++p) {
         if (p == target || aware[p] == sim::kNeverAware) continue;
-        const std::string name = "aware of P" + std::to_string(target);
+        const std::string name =
+            std::string{"aware of P"}.append(std::to_string(target));
         out.flow_start(kPid, target, name, origin, flow_id);
         out.flow_end(kPid, p, name, aware[p], flow_id);
         ++flow_id;

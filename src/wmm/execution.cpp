@@ -506,7 +506,9 @@ std::string Graph::signature() const {
 std::string Graph::label(EventId id) const {
   const Event& e = events_[id];
   if (e.thread == kInitThread) return "init(" + (*locs_)[e.loc].name + ")";
-  return "T" + std::to_string(e.thread) + "." + std::to_string(e.index);
+  std::ostringstream out;
+  out << 'T' << e.thread << '.' << e.index;
+  return out.str();
 }
 
 std::string Graph::render() const {

@@ -1,7 +1,10 @@
 #include "ruco/wmm/kernels.h"
 
+#include <functional>
 #include <sstream>
 #include <utility>
+
+#include "ruco/maxreg/propagate.h"
 
 namespace ruco::wmm {
 
@@ -40,39 +43,48 @@ std::string check_monotone(const Graph& g, LocId loc) {
   return "";
 }
 
+// `Orders` at the shipped values except `site`, weakened to relaxed.
+template <typename Orders>
+Orders relaxed_at(std::memory_order Orders::*site) {
+  Orders o;
+  o.*site = std::memory_order_relaxed;
+  return o;
+}
+
 }  // namespace
 
+std::vector<Atomic<Value>> tree_cells(Program& program,
+                                      const util::TreeShape& shape) {
+  std::vector<Atomic<Value>> cells(shape.node_count());
+  cells[shape.root()] = program.atomic<Value>("node", 0);
+  for (util::TreeShape::NodeId n = 0; n < shape.node_count(); ++n) {
+    if (n == shape.root()) continue;
+    cells[n] = program.atomic<Value>(
+        std::string{"n"}.append(std::to_string(n)), 0);
+  }
+  return cells;
+}
+
 Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
-                                     const PropagateOrders& o) {
+                                     const maxreg::PropagateOrders& o) {
   const bool conditional = policy == maxreg::RefreshPolicy::kConditional;
   Kernel k;
   k.name = conditional ? "propagate-counter/conditional"
                        : "propagate-counter/always-twice";
   k.description =
       "propagate_twice on a 2-leaf tree, two concurrent increments";
-  auto node = k.program.atomic<Value>("node", 0);  // loc 0
-  auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
-  auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
-  // One writer per leaf: store the increment, then the propagate loop
-  // transcribed from ruco/maxreg/propagate.h (combine = sum).
-  auto writer = [=](Atomic<Value> leaf) {
-    return [=] {
-      leaf.store(1, o.leaf_store);
-      for (int round = 0; round < 2; ++round) {
-        Value old_v = node.load(o.node_load);
-        const Value lv = l0.load(o.child_load);
-        const Value rv = l1.load(o.child_load);
-        const Value nv = lv + rv;
-        if (conditional && nv == old_v) break;  // no-change skip
-        if (node.compare_exchange_strong(old_v, nv, o.cas_ok, o.cas_fail) &&
-            conditional) {
-          break;  // won CAS: inputs read after our update, node covers us
-        }
-      }
-    };
-  };
-  k.program.thread(writer(l0));
-  k.program.thread(writer(l1));
+  const util::TreeShape shape = util::complete_shape(2);
+  const std::vector<Atomic<Value>> cells = tree_cells(k.program, shape);
+  // One writer per leaf: FArray::update's leaf store, then the production
+  // propagate loop (combine = sum).
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    k.program.thread([=] {
+      cells[shape.leaf(i)].store(1, o.leaf_store);
+      maxreg::propagate_twice(
+          shape, [&](util::TreeShape::NodeId n) { return cells[n]; },
+          shape.leaf(i), std::plus<Value>{}, policy, o);
+    });
+  }
   k.invariant = [](const Graph& g) -> std::string {
     if (auto msg = check_monotone(g, 0); !msg.empty()) return msg;
     if (g.final_value(0) != 2) {
@@ -86,36 +98,32 @@ Kernel make_propagate_counter_kernel(maxreg::RefreshPolicy policy,
   return k;
 }
 
-Kernel make_propagate_snapshot_kernel(const PropagateOrders& o) {
+Kernel make_propagate_snapshot_kernel(const maxreg::PropagateOrders& o) {
   Kernel k;
   k.name = "propagate-snapshot";
   k.description =
       "propagation over pointer-carrying leaves: payload published "
-      "before the leaf store, dereferenced behind the child load";
-  auto node = k.program.atomic<Value>("node", 0);  // loc 0
-  auto l0 = k.program.atomic<Value>("l0", 0);      // loc 1
-  auto l1 = k.program.atomic<Value>("l1", 0);      // loc 2
-  auto p0 = k.program.plain<Value>("p0", 0);       // loc 3
-  auto p1 = k.program.plain<Value>("p1", 0);       // loc 4
-  // Single refresh round: the publication property under test does not
-  // need the double-refresh (that coverage is the counter kernel's).
-  auto writer = [=](Plain<Value> pay, Atomic<Value> leaf) {
-    return [=] {
-      pay.store(1);               // the "snapshot view" behind the leaf
-      leaf.store(1, o.leaf_store);
-      Value old_v = node.load(o.node_load);
-      const Value lv = l0.load(o.child_load);
-      const Value rv = l1.load(o.child_load);
-      if (lv == 1) observe(p0.load());  // dereference published views
-      if (rv == 1) observe(p1.load());
-      const Value nv = lv + rv;
-      if (nv != old_v) {
-        node.compare_exchange_strong(old_v, nv, o.cas_ok, o.cas_fail);
-      }
-    };
+      "before the leaf store, dereferenced by the combine behind the "
+      "child loads";
+  const util::TreeShape shape = util::complete_shape(2);
+  const std::vector<Atomic<Value>> cells = tree_cells(k.program, shape);
+  const std::vector<Plain<Value>> pay = {k.program.plain<Value>("p0", 0),
+                                         k.program.plain<Value>("p1", 0)};
+  // The snapshot merge: dereference every published view it combines.
+  const auto combine = [=](Value lv, Value rv) {
+    if (lv == 1) observe(pay[0].load());
+    if (rv == 1) observe(pay[1].load());
+    return lv + rv;
   };
-  k.program.thread(writer(p0, l0));
-  k.program.thread(writer(p1, l1));
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    k.program.thread([=] {
+      pay[i].store(1);  // the "snapshot view" behind the leaf
+      cells[shape.leaf(i)].store(1, o.leaf_store);
+      maxreg::propagate_twice(
+          shape, [&](util::TreeShape::NodeId n) { return cells[n]; },
+          shape.leaf(i), combine, maxreg::RefreshPolicy::kConditional, o);
+    });
+  }
   k.invariant = [](const Graph& g) -> std::string {
     if (auto msg = check_plain_reads(g, 3, 1); !msg.empty()) return msg;
     return check_plain_reads(g, 4, 1);
@@ -123,7 +131,7 @@ Kernel make_propagate_snapshot_kernel(const PropagateOrders& o) {
   return k;
 }
 
-Kernel make_root_read_kernel(const PropagateOrders& o) {
+Kernel make_root_read_kernel(const maxreg::PropagateOrders& o) {
   Kernel k;
   k.name = "root-read";
   k.description =
@@ -152,7 +160,7 @@ Kernel make_root_read_kernel(const PropagateOrders& o) {
   return k;
 }
 
-Kernel make_leaf_handoff_kernel(const PropagateOrders& o) {
+Kernel make_leaf_handoff_kernel(const maxreg::PropagateOrders& o) {
   Kernel k;
   k.name = "leaf-handoff";
   k.description =
@@ -253,12 +261,15 @@ ExploreResult check_kernel(const Kernel& kernel, std::size_t max_violations) {
 
 std::vector<MutationSite> mutation_sites() {
   using maxreg::RefreshPolicy;
+  using PO = maxreg::PropagateOrders;
   std::vector<MutationSite> out;
 
-  auto add = [&](std::string id, std::string note, bool pr4,
-                 std::function<Kernel()> make) {
-    out.push_back(MutationSite{std::move(id), std::move(note), pr4,
-                               std::move(make)});
+  // `make` builds the kernel from the orders with `site` relaxed.
+  auto add = [&](std::string id, std::string note, auto site, auto make,
+                 bool pr4 = false) {
+    out.push_back(MutationSite{std::move(id), std::move(note), pr4, [=] {
+                                 return make(relaxed_at(site));
+                               }});
   };
 
   for (const RefreshPolicy policy :
@@ -267,107 +278,62 @@ std::vector<MutationSite> mutation_sites() {
     const std::string kname = conditional
                                   ? "propagate-counter/conditional"
                                   : "propagate-counter/always-twice";
+    const auto make = [policy](const PO& o) {
+      return make_propagate_counter_kernel(policy, o);
+    };
     add(kname + ":node_load acq->rlx",
         "the PR-4 bug: a fresh node beside stale child loads lets the "
         "no-change skip drop a sibling's increment or the CAS regress "
         "the monotone aggregate",
-        /*pr4=*/conditional, [policy] {
-          PropagateOrders o;
-          o.node_load = std::memory_order_relaxed;
-          return make_propagate_counter_kernel(policy, o);
-        });
+        &PO::node_load, make, /*pr4=*/conditional);
     add(kname + ":cas_ok rel->rlx",
         "without the release the installing CAS publishes nothing: the "
         "sibling's acquire node load gets no synchronizes-with edge and "
         "its child loads may be stale",
-        /*pr4=*/false, [policy] {
-          PropagateOrders o;
-          o.cas_ok = std::memory_order_relaxed;
-          return make_propagate_counter_kernel(policy, o);
-        });
+        &PO::cas_ok, make);
   }
 
   add("propagate-snapshot:child_load acq->rlx",
       "a relaxed child load sees the leaf but not the payload written "
       "before it: torn snapshot view (data race)",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.child_load = std::memory_order_relaxed;
-        return make_propagate_snapshot_kernel(o);
-      });
+      &PO::child_load, make_propagate_snapshot_kernel);
   add("propagate-snapshot:leaf_store rel->rlx",
       "a relaxed leaf store publishes nothing: the sibling dereferences "
       "an unpublished payload (data race)",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.leaf_store = std::memory_order_relaxed;
-        return make_propagate_snapshot_kernel(o);
-      });
+      &PO::leaf_store, make_propagate_snapshot_kernel);
 
   add("root-read:root_read acq->rlx",
       "the read fast path sees the installed root but races the data "
       "published before the install",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.root_read = std::memory_order_relaxed;
-        return make_root_read_kernel(o);
-      });
+      &PO::root_read, make_root_read_kernel);
   add("root-read:cas_ok rel->rlx",
       "a relaxed install CAS gives the acquire fast-path load no "
       "release to synchronize with",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.cas_ok = std::memory_order_relaxed;
-        return make_root_read_kernel(o);
-      });
+      &PO::cas_ok, make_root_read_kernel);
 
   add("leaf-handoff:leaf_store rel->rlx",
       "the helper observes the leaf but races the writer's payload",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.leaf_store = std::memory_order_relaxed;
-        return make_leaf_handoff_kernel(o);
-      });
+      &PO::leaf_store, make_leaf_handoff_kernel);
   add("leaf-handoff:child_load acq->rlx",
       "a relaxed helper load discards the writer's release: payload race",
-      /*pr4=*/false, [] {
-        PropagateOrders o;
-        o.child_load = std::memory_order_relaxed;
-        return make_leaf_handoff_kernel(o);
-      });
+      &PO::child_load, make_leaf_handoff_kernel);
 
   add("mcas-publication:install_ok acq_rel->rlx",
       "a relaxed install CAS publishes no descriptor fields: helpers "
       "read a torn descriptor",
-      /*pr4=*/false, [] {
-        McasOrders o;
-        o.install_ok = std::memory_order_relaxed;
-        return make_mcas_publication_kernel(o);
-      });
+      &McasOrders::install_ok, make_mcas_publication_kernel);
   add("mcas-publication:cell_load acq->rlx",
       "a relaxed helper cell load sees the descriptor pointer but races "
       "its fields",
-      /*pr4=*/false, [] {
-        McasOrders o;
-        o.cell_load = std::memory_order_relaxed;
-        return make_mcas_publication_kernel(o);
-      });
+      &McasOrders::cell_load, make_mcas_publication_kernel);
   add("mcas-publication:status_decide acq_rel->rlx",
       "a relaxed decide CAS publishes no helper-side writes: the owner "
       "races the helper's result",
-      /*pr4=*/false, [] {
-        McasOrders o;
-        o.status_decide = std::memory_order_relaxed;
-        return make_mcas_publication_kernel(o);
-      });
+      &McasOrders::status_decide, make_mcas_publication_kernel);
   add("mcas-publication:status_read acq->rlx",
       "a relaxed owner status load discards the decide CAS's release: "
       "result race",
-      /*pr4=*/false, [] {
-        McasOrders o;
-        o.status_read = std::memory_order_relaxed;
-        return make_mcas_publication_kernel(o);
-      });
+      &McasOrders::status_read, make_mcas_publication_kernel);
 
   return out;
 }

@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "ruco/counter/farray_counter.h"
 #include "ruco/farray/farray.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/runtime/thread_harness.h"
@@ -57,6 +58,8 @@ TEST(FArray, SingleSlotIsItsOwnRoot) {
 
 TEST(FArray, RejectsZeroSlots) {
   EXPECT_THROW((SumFArray{0, 0}), std::invalid_argument);
+  // The f-array counter is a SumFArray and inherits the check.
+  EXPECT_THROW((counter::FArrayCounter{0}), std::invalid_argument);
 }
 
 class FArrayStepsTest : public ::testing::TestWithParam<std::uint32_t> {};

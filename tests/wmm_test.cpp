@@ -11,6 +11,8 @@
 //      outcome set (randomized straight-line programs).
 //   3. Protocol kernels at the shipped `runtime::mo_*` orders: zero
 //      violations over every RC11-consistent execution, search complete.
+//      The propagation kernels run the production `propagate_twice`
+//      template itself, here also on a 2-level tree.
 //   4. Mutation driver: weakening any load-bearing mo_* site must
 //      exhibit a concrete violating execution -- including the PR-4
 //      `propagate_twice` node-load acquire->relaxed bug as a permanent
@@ -23,14 +25,18 @@
 //      to seq_cst (memorder.h's fallback claim, machine-verified).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "ruco/maxreg/propagate.h"
 #include "ruco/maxreg/refresh_policy.h"
 #include "ruco/sim/model_checker.h"
 #include "ruco/sim/system.h"
 #include "ruco/util/rng.h"
+#include "ruco/util/tree_shape.h"
 #include "ruco/wmm/explore.h"
 #include "ruco/wmm/kernels.h"
 #include "ruco/wmm/litmus.h"
@@ -312,6 +318,55 @@ TEST(WmmKernels, CounterKernelCoversBothOutcomesOfTheRace) {
   EXPECT_EQ(res.final_states, (OutcomeSet{{2, 1, 1}}));
 }
 
+// The production propagate_twice on a 2-level tree (complete_shape(4)),
+// two increments from different subtrees: each climbs its own uncontended
+// level, and the two meet only at the root, so the acquire node load must
+// carry the sibling subtree's aggregate across a level boundary.  Not part
+// of protocol_kernels(): the 2-leaf kernels are the shipped acceptance set.
+wmm::Kernel two_level_counter_kernel(const maxreg::PropagateOrders& o) {
+  wmm::Kernel k;
+  k.name = "propagate-counter/two-level";
+  const util::TreeShape shape = util::complete_shape(4);
+  const std::vector<wmm::Atomic<Value>> cells =
+      wmm::tree_cells(k.program, shape);
+  for (const std::uint32_t leaf : {0u, 2u}) {
+    k.program.thread([=] {
+      cells[shape.leaf(leaf)].store(1, o.leaf_store);
+      maxreg::propagate_twice(
+          shape, [&](util::TreeShape::NodeId n) { return cells[n]; },
+          shape.leaf(leaf), std::plus<Value>{}, RefreshPolicy::kConditional,
+          o);
+    });
+  }
+  k.invariant = [](const wmm::Graph& g) -> std::string {
+    const std::vector<Value> root = g.mo_values(0);  // tree_cells: root = 0
+    if (!std::is_sorted(root.begin(), root.end())) return "root regressed";
+    if (g.final_value(0) != 2) return "lost increment";
+    return "";
+  };
+  return k;
+}
+
+TEST(WmmKernels, TwoLevelPropagationAtShippedOrdersIsClean) {
+  const wmm::ExploreResult res =
+      wmm::check_kernel(two_level_counter_kernel({}));
+  EXPECT_TRUE(res.complete) << "state space not exhausted";
+  EXPECT_GT(res.executions, 0u);
+  EXPECT_EQ(res.violation_count, 0u)
+      << (res.violations.empty() ? std::string{}
+                                 : res.violations.front().message + "\n" +
+                                       res.violations.front().dump);
+}
+
+TEST(WmmKernels, TwoLevelPropagationNeedsTheAcquireNodeLoad) {
+  maxreg::PropagateOrders weak;
+  weak.node_load = std::memory_order_relaxed;
+  const wmm::ExploreResult res =
+      wmm::check_kernel(two_level_counter_kernel(weak), 1);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.violations.front().kind, "invariant");
+}
+
 TEST(WmmMutation, EveryWeakenedSiteHasAViolatingExecution) {
   const auto outcomes = wmm::run_mutation_driver();
   ASSERT_GE(outcomes.size(), 12u);
@@ -330,7 +385,7 @@ TEST(WmmMutation, Pr4NodeLoadRegressionStaysMustFail) {
   // The permanent regression litmus: propagate_twice with the node load
   // weakened back to relaxed (the exact PR-4 bug) must exhibit a lost
   // increment or monotonicity regression on the conditional policy.
-  wmm::PropagateOrders weak;
+  maxreg::PropagateOrders weak;
   weak.node_load = std::memory_order_relaxed;
   const wmm::Kernel kernel = wmm::make_propagate_counter_kernel(
       RefreshPolicy::kConditional, weak);
@@ -348,7 +403,7 @@ TEST(WmmMutation, OrderTableIsMinimalWhereItClaimsToBe)
   // CAS failure order.
   for (const RefreshPolicy policy :
        {RefreshPolicy::kConditional, RefreshPolicy::kAlwaysTwice}) {
-    wmm::PropagateOrders o;
+    maxreg::PropagateOrders o;
     o.child_load = std::memory_order_relaxed;
     const wmm::ExploreResult res =
         wmm::check_kernel(wmm::make_propagate_counter_kernel(policy, o));
@@ -356,7 +411,7 @@ TEST(WmmMutation, OrderTableIsMinimalWhereItClaimsToBe)
     EXPECT_TRUE(res.ok())
         << "counter-kernel child loads should not be load-bearing";
   }
-  wmm::PropagateOrders o;
+  maxreg::PropagateOrders o;
   o.cas_fail = std::memory_order_relaxed;
   const wmm::ExploreResult res = wmm::check_kernel(
       wmm::make_propagate_counter_kernel(RefreshPolicy::kConditional, o));
@@ -400,7 +455,7 @@ TEST(WmmExplorer, OperationsOutsideExplorerThrow) {
 
 TEST(WmmExplorer, RendersCompleteExecutions) {
   // The dump must mention threads, orders and modification orders.
-  wmm::PropagateOrders weak;
+  maxreg::PropagateOrders weak;
   weak.node_load = std::memory_order_relaxed;
   const wmm::Kernel kernel = wmm::make_propagate_counter_kernel(
       RefreshPolicy::kConditional, weak);
