@@ -1,14 +1,10 @@
 // Hardware throughput with cross-layer telemetry: ops/sec, shared-memory
 // steps/op (the paper's complexity measure, from runtime::thread_steps),
 // and CAS failure rate (from the ruco::telemetry registry deltas) for the
-// production max-register and counter implementations under real threads.
+// production max-register, counter and snapshot implementations under real
+// threads.
 //
-// The step-complexity benches report *per-operation* cost on one thread;
-// this one reports the contended picture the telemetry layer exists for:
-// how many base-object events each op really issued under N threads and
-// what fraction of CAS attempts lost their race.
-//
-// Two workload modes:
+// Three workload modes:
 //   default   every thread writes its own ascending op counter, so threads
 //             frequently write values the register already covers -- the
 //             duplicate/fast-path regime.
@@ -17,6 +13,12 @@
 //             the root path instead of short-circuiting -- the worst-case
 //             CAS-contention regime the conditional refresh and backoff are
 //             aimed at.
+//   solo      one thread, one fresh object per row, reads and updates timed
+//             separately with N (the AAC bound M) in the workload name: the
+//             paper's tradeoff as per-N hardware rows.  Algorithm A and
+//             f-array reads stay flat, AAC reads and propagating updates
+//             grow with log N.  Run once per invocation whatever --threads,
+//             --sweep or --contend say.
 //
 //   --threads=N   worker threads (default 4)
 //   --ms=M        measured window per workload (default 200)
@@ -25,26 +27,45 @@
 //   --sweep       run each workload at 1, 2, 4, ... up to --threads
 //   --json <path>     machine-readable results
 //   --perfetto <path> sampled op timeline (open at ui.perfetto.dev)
+// Any other argument, or a malformed number, prints usage and exits 2.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ruco/core/table.h"
 #include "ruco/counter/farray_counter.h"
+#include "ruco/counter/fetch_add_counter.h"
+#include "ruco/counter/maxreg_counter.h"
+#include "ruco/maxreg/aac_max_register.h"
 #include "ruco/maxreg/cas_max_register.h"
+#include "ruco/maxreg/lock_max_register.h"
 #include "ruco/maxreg/tree_max_register.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/runtime/thread_harness.h"
+#include "ruco/snapshot/afek_snapshot.h"
+#include "ruco/snapshot/double_collect_snapshot.h"
+#include "ruco/snapshot/farray_snapshot.h"
 #include "ruco/telemetry/registry.h"
 #include "ruco/telemetry/timeline.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using ruco::Value;
+
+constexpr std::uint64_t kNoOpCap = std::numeric_limits<std::uint64_t>::max();
+
+// Every body's result is folded into a per-thread sink and published here
+// once per thread, so no read whose value the harness ignores can be
+// optimized away.
+std::atomic<std::uint64_t> g_sink{0};
 
 std::uint64_t now_us() {
   return static_cast<std::uint64_t>(
@@ -55,7 +76,7 @@ std::uint64_t now_us() {
 
 struct WorkloadResult {
   std::string name;
-  std::string mode;  // "default" or "contend"
+  std::string mode;  // "default", "contend" or "solo"
   std::uint64_t threads = 0;
   std::uint64_t ops = 0;
   std::uint64_t steps = 0;  // shared-memory events across all threads
@@ -84,13 +105,16 @@ std::uint64_t registry_value(const ruco::telemetry::Snapshot& snap,
   return m != nullptr ? m->value : 0;
 }
 
-/// Runs `body(thread, op_index)` on every thread until the deadline,
-/// recording every `kSampleEvery`-th op into the Perfetto recorder.
+/// Runs `body(thread, op_index)` on every thread until the deadline or
+/// until the thread has run `max_ops` ops, recording every
+/// `kSampleEvery`-th op into the Perfetto recorder.  `body` returns the
+/// value it read (0 when it reads nothing) for the sink.
 template <typename Body>
 WorkloadResult run_workload(const std::string& name, const std::string& mode,
                             std::size_t threads, std::uint64_t window_ms,
                             ruco::telemetry::OpRecorder* recorder,
-                            std::uint32_t op_name_id, Body&& body) {
+                            std::uint32_t op_name_id, Body&& body,
+                            std::uint64_t max_ops = kNoOpCap) {
   constexpr std::uint64_t kSampleEvery = 1024;
   WorkloadResult r;
   r.name = name;
@@ -105,19 +129,22 @@ WorkloadResult run_workload(const std::string& name, const std::string& mode,
   ruco::runtime::run_threads(threads, [&](std::size_t t) {
     const std::uint64_t steps_before = ruco::runtime::thread_steps();
     std::uint64_t ops = 0;
-    while (Clock::now() < deadline) {
+    std::uint64_t sink = 0;
+    while (ops < max_ops && Clock::now() < deadline) {
       // Batch between clock reads; the clock costs more than the ops.
-      for (int i = 0; i < 64; ++i, ++ops) {
+      const std::uint64_t batch_end = std::min(ops + 64, max_ops);
+      for (; ops < batch_end; ++ops) {
         if (recorder != nullptr && ops % kSampleEvery == 0) {
           const std::uint64_t start = now_us();
-          body(t, ops);
+          sink += static_cast<std::uint64_t>(body(t, ops));
           recorder->record(static_cast<std::uint32_t>(t), op_name_id, start,
                            std::max<std::uint64_t>(1, now_us() - start));
         } else {
-          body(t, ops);
+          sink += static_cast<std::uint64_t>(body(t, ops));
         }
       }
     }
+    g_sink.fetch_add(sink, std::memory_order_relaxed);
     ops_per_thread[t] = ops;
     steps_per_thread[t] = ruco::runtime::thread_steps() - steps_before;
   });
@@ -139,10 +166,148 @@ WorkloadResult run_workload(const std::string& name, const std::string& mode,
   return r;
 }
 
+std::string row_name(const char* prefix, std::uint64_t n) {
+  return std::string{prefix}.append(std::to_string(n));
+}
+
+/// The solo rows: one thread, a fresh object per row, reads and updates
+/// timed apart.  A body gets the next ascending operand v = op index + 1
+/// and returns what it read, if anything.  Op caps keep restricted-use
+/// objects inside their bounds: MaxRegCounter throws past U = 2^16
+/// increments, snapshot updates grow their arenas without reclamation,
+/// and the AAC write row stops at M - 1 so every write stays a fresh
+/// maximum whatever the window.
+void run_solo_rows(std::uint64_t window_ms,
+                   ruco::telemetry::OpRecorder* recorder,
+                   std::vector<WorkloadResult>& results) {
+  constexpr Value kAacWriteBound = 1 << 20;
+  constexpr Value kMaxRegCounterBound = 1 << 16;
+  constexpr std::uint64_t kMaxRegCounterOps = 30000;
+  constexpr std::uint64_t kSnapshotUpdateOps = 20000;
+  const auto solo = [&](const std::string& name, auto&& body,
+                        std::uint64_t max_ops = kNoOpCap) {
+    const std::uint32_t op = recorder != nullptr ? recorder->intern(name) : 0;
+    const auto run = [&](std::size_t, std::uint64_t i) {
+      const auto v = static_cast<Value>(i + 1);
+      if constexpr (std::is_void_v<decltype(body(v))>) {
+        body(v);
+        return Value{0};
+      } else {
+        return body(v);
+      }
+    };
+    results.push_back(run_workload(name, "solo", 1, window_ms, recorder, op,
+                                   run, max_ops));
+  };
+
+  // Max registers: Algorithm A reads one root load at every N, AAC reads
+  // walk log M switches; writes climb log N (log M) levels.
+  for (const std::uint32_t n : {8u, 256u, 4096u}) {
+    ruco::maxreg::TreeMaxRegister reg{n};
+    reg.write_max(0, 3);
+    solo(row_name("tree maxreg read N=", n),
+         [&](Value) { return reg.read_max(0); });
+  }
+  for (const Value m : {8, 256, 4096, 1 << 20}) {
+    ruco::maxreg::AacMaxRegister reg{m};
+    reg.write_max(0, m / 2);
+    solo(row_name("aac maxreg read M=", static_cast<std::uint64_t>(m)),
+         [&](Value) { return reg.read_max(0); });
+  }
+  for (const std::uint32_t n : {8u, 256u, 4096u}) {
+    ruco::maxreg::TreeMaxRegister reg{n};
+    solo(row_name("tree maxreg write N=", n),
+         [&](Value v) { reg.write_max(0, v); });
+  }
+  {
+    ruco::maxreg::AacMaxRegister reg{kAacWriteBound};
+    solo(row_name("aac maxreg write M=", kAacWriteBound),
+         [&](Value v) { reg.write_max(0, v); }, kAacWriteBound - 1);
+  }
+  {
+    ruco::maxreg::CasMaxRegister reg;
+    solo("cas maxreg write", [&](Value v) { reg.write_max(0, v); });
+  }
+  {
+    ruco::maxreg::LockMaxRegister reg;
+    solo("lock maxreg write", [&](Value v) { reg.write_max(0, v); });
+  }
+
+  // Counters: f-array reads are one root load, increments climb log N
+  // levels; the max-register counter pays log U per read instead.
+  for (const std::uint32_t n : {8u, 256u, 4096u}) {
+    ruco::counter::FArrayCounter c{n};
+    solo(row_name("f-array counter increment N=", n),
+         [&](Value) { c.increment(0); });
+  }
+  for (const std::uint32_t n : {8u, 4096u}) {
+    ruco::counter::FArrayCounter c{n};
+    c.increment(0);
+    solo(row_name("f-array counter read N=", n),
+         [&](Value) { return c.read(0); });
+  }
+  for (const std::uint32_t n : {8u, 256u}) {
+    ruco::counter::MaxRegCounter c{n, kMaxRegCounterBound};
+    solo(row_name("maxreg counter increment N=", n),
+         [&](Value) { c.increment(0); }, kMaxRegCounterOps);
+  }
+  for (const std::uint32_t n : {8u, 256u}) {
+    ruco::counter::MaxRegCounter c{n, kMaxRegCounterBound};
+    c.increment(0);
+    solo(row_name("maxreg counter read N=", n),
+         [&](Value) { return c.read(0); });
+  }
+  {
+    ruco::counter::FetchAddCounter c;
+    solo("fetch_add counter increment", [&](Value) { c.increment(0); });
+  }
+
+  // Snapshots: the f-array snapshot scans one root pointer and updates by
+  // merging O(N) views up log N levels; double collect scans O(N) twice.
+  for (const std::uint32_t n : {8u, 128u}) {
+    ruco::snapshot::FArraySnapshot snap{n};
+    snap.update(0, 1);
+    solo(row_name("f-array snapshot scan N=", n),
+         [&](Value) { return snap.scan(0).front(); });
+  }
+  for (const std::uint32_t n : {8u, 128u}) {
+    ruco::snapshot::FArraySnapshot snap{n};
+    solo(row_name("f-array snapshot update N=", n),
+         [&](Value v) { snap.update(0, v); }, kSnapshotUpdateOps);
+  }
+  for (const std::uint32_t n : {8u, 128u}) {
+    ruco::snapshot::DoubleCollectSnapshot snap{n};
+    snap.update(0, 1);
+    solo(row_name("double-collect snapshot scan N=", n),
+         [&](Value) { return snap.scan(0).front(); });
+  }
+  for (const std::uint32_t n : {8u, 64u}) {
+    ruco::snapshot::AfekSnapshot snap{n};
+    solo(row_name("afek snapshot update N=", n),
+         [&](Value v) { snap.update(0, v); }, kSnapshotUpdateOps);
+  }
+}
+
+int usage(const char* argv0) {
+  std::cerr << "usage: " << argv0
+            << " [--threads=N] [--ms=M] [--smoke] [--contend] [--sweep]"
+               " [--json <path>] [--perfetto <path>]\n";
+  return 2;
+}
+
+/// Parses the decimal after `prefix` in `arg`; false on any malformed text.
+bool parse_count(const std::string& arg, std::size_t prefix,
+                 std::uint64_t& out) {
+  const char* first = arg.data() + prefix;
+  const char* last = arg.data() + arg.size();
+  const auto [end, ec] = std::from_chars(first, last, out);
+  return ec == std::errc{} && end == last;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t threads = 4;
+  std::uint64_t threads = 4;
   std::uint64_t window_ms = 200;
   bool smoke = false;
   bool contend = false;
@@ -151,16 +316,28 @@ int main(int argc, char** argv) {
   std::string perfetto_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--contend") contend = true;
-    if (arg == "--sweep") sweep = true;
-    if (arg.rfind("--threads=", 0) == 0) threads = std::stoull(arg.substr(10));
-    if (arg.rfind("--ms=", 0) == 0) window_ms = std::stoull(arg.substr(5));
-    if (arg == "--json" && i + 1 < argc) json_path = argv[++i];
-    if (arg == "--perfetto" && i + 1 < argc) perfetto_path = argv[++i];
+    bool ok = true;
+    if (arg == "--smoke") {
+      smoke = true;
+    } else if (arg == "--contend") {
+      contend = true;
+    } else if (arg == "--sweep") {
+      sweep = true;
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      ok = parse_count(arg, 10, threads);
+    } else if (arg.rfind("--ms=", 0) == 0) {
+      ok = parse_count(arg, 5, window_ms);
+    } else if (arg == "--json" && i + 1 < argc) {
+      json_path = argv[++i];
+    } else if (arg == "--perfetto" && i + 1 < argc) {
+      perfetto_path = argv[++i];
+    } else {
+      ok = false;
+    }
+    if (!ok) return usage(argv[0]);
   }
   if (smoke) {
-    threads = std::min<std::size_t>(threads, 2);
+    threads = std::min<std::uint64_t>(threads, 2);
     window_ms = std::min<std::uint64_t>(window_ms, 50);
   }
   if (threads == 0) threads = 1;
@@ -194,7 +371,7 @@ int main(int argc, char** argv) {
             const auto v = static_cast<ruco::Value>(
                 contended ? ops * tc + t : ops);
             reg.write_max(static_cast<ruco::ProcId>(t), v);
-            (void)reg.read_max(static_cast<ruco::ProcId>(t));
+            return reg.read_max(static_cast<ruco::ProcId>(t));
           }));
     }
     {
@@ -206,7 +383,7 @@ int main(int argc, char** argv) {
             const auto v = static_cast<ruco::Value>(
                 contended ? ops * tc + t : ops);
             reg.write_max(static_cast<ruco::ProcId>(t), v);
-            (void)reg.read_max(static_cast<ruco::ProcId>(t));
+            return reg.read_max(static_cast<ruco::ProcId>(t));
           }));
     }
     {
@@ -218,7 +395,7 @@ int main(int argc, char** argv) {
           "f-array counter", mode, tc, window_ms, rec, op,
           [&](std::size_t t, std::uint64_t) {
             counter.increment(static_cast<ruco::ProcId>(t));
-            if (!contended) (void)counter.read(static_cast<ruco::ProcId>(t));
+            return contended ? 0 : counter.read(static_cast<ruco::ProcId>(t));
           }));
     }
   };
@@ -232,6 +409,7 @@ int main(int argc, char** argv) {
     run_suite(tc, false);
     if (contend) run_suite(tc, true);
   }
+  run_solo_rows(window_ms, rec, results);
 
   ruco::Table t{{"workload", "mode", "threads", "ops/sec", "steps/op",
                  "CAS fail rate"}};
@@ -282,6 +460,8 @@ int main(int argc, char** argv) {
                "conditional refresh pruning the second CAS round (near-zero "
                "failures in the default regime, root fast path absorbing "
                "duplicate maxima); the f-array counter reads in one step "
-               "with O(log N) updates.\n";
+               "with O(log N) updates.  Solo rows: tree maxreg and f-array "
+               "reads stay flat across N while AAC reads grow with log M "
+               "and propagating updates with log N.\n";
   return 0;
 }

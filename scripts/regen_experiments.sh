@@ -11,5 +11,5 @@ for b in bench_alg_a_steps bench_b1_depth bench_maxreg_compare \
   "${build}/bench/${b}"
   echo
 done
-echo "=== bench_throughput (google-benchmark) ==="
-"${build}/bench/bench_throughput" --benchmark_min_time=0.05
+echo "=== bench_hw_throughput (THR: solo rows; HOT: default rows) ==="
+"${build}/bench/bench_hw_throughput"
