@@ -5,15 +5,17 @@
 //   update         : O(log N) steps (write own slot, double-CAS-merge the
 //                    root path).
 //
-// The aggregate function is a template parameter.  Soundness of the
-// LL/SC -> CAS substitution requires *monotonicity*: under the updates the
-// program performs, every tree node's value sequence must be
-// non-decreasing in some partial order (max: total order; sum of
-// non-decreasing slots; componentwise orders...).  Monotonicity is what
-// rules out CAS/ABA -- see ruco/maxreg/propagate.h for the argument and
-// DESIGN.md for the ablation.  Non-monotone updates (e.g. writing a
-// *smaller* value to a slot under Max) are not linearizable through this
-// construction; the tests demonstrate the failure mode.
+// The aggregate function is a template parameter.  It must be associative
+// and commutative: slots are scattered over the leaves (see
+// ruco/util/tree_shape.h), so the tree folds them in leaf position order,
+// not slot order.  Soundness of the LL/SC -> CAS substitution requires
+// *monotonicity*: under the updates the program performs, every tree node's
+// value sequence must be non-decreasing in some partial order (max: total
+// order; sum of non-decreasing slots; componentwise orders...).
+// Monotonicity is what rules out CAS/ABA -- see ruco/maxreg/propagate.h for
+// the argument and DESIGN.md for the ablation.  Non-monotone updates (e.g.
+// writing a *smaller* value to a slot under Max) are not linearizable
+// through this construction; the tests demonstrate the failure mode.
 //
 // counter::FArrayCounter is a SumFArray plus a process-local count;
 // FArraySnapshot and Algorithm A run the same propagate_twice over their own

@@ -50,14 +50,15 @@ class FArraySnapshot {
     std::uint64_t seq = 0;
   };
   struct View {
-    std::vector<Entry> entries;  // one per leaf of the node's subtree,
-                                 // ordered by leaf index
+    std::vector<Entry> entries;  // one per leaf of the node's subtree, in
+                                 // left-to-right leaf position order
   };
 
   [[nodiscard]] const View* merge(ProcId proc, const View* l, const View* r);
 
   std::uint32_t n_;
   util::TreeShape shape_;
+  std::vector<std::uint32_t> slot_at_;  // root view position -> process
   std::vector<runtime::PaddedAtomic<const View*>> nodes_;
   std::deque<View> initial_views_;          // built at construction
   std::vector<std::deque<View>> arenas_;    // owner-only appenders

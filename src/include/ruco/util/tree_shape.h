@@ -15,6 +15,19 @@
 //   * AlgorithmATreeShape -- the composite tree T of Figure 4: a root whose
 //     left child is b1_shape(N) (value leaves) and whose right child is
 //     complete_shape(N) (per-process leaves).
+//
+// Leaf placement.  The paper gives process i "the i-th leaf"; its step
+// bounds only ever use the *depth* of a process's leaf, so they hold for
+// any depth-preserving bijection from processes to leaves.  The complete
+// builder uses one: inside every power-of-two complete subtree it deals the
+// ordinals alternately to the left and right child (bit-reversed order),
+// and it splits other counts contiguously, as a plain left-complete layout
+// would.  Every ordinal keeps the depth the contiguous layout gives it, so
+// every step count is unchanged, but in a power-of-two tree processes
+// 0..k-1 -- the ones a thread registry hands out first -- part ways within
+// the top log2(k) levels instead of running together down to log2(k) levels
+// above the leaves.  Leaf ordinals are therefore not in left-to-right order;
+// leaf_order() gives that order.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +53,10 @@ class TreeShape {
   [[nodiscard]] std::uint32_t leaf_index(NodeId n) const {
     return nodes_[n].leaf;
   }
-  /// NodeId of the i-th leaf (0-based).
+  /// NodeId of the leaf with ordinal i (0-based).
   [[nodiscard]] NodeId leaf(std::uint32_t i) const { return leaves_[i]; }
+  /// The leaf ordinals in left-to-right position order.
+  [[nodiscard]] std::vector<std::uint32_t> leaf_order() const;
   [[nodiscard]] std::size_t leaf_count() const noexcept {
     return leaves_.size();
   }
@@ -49,7 +64,9 @@ class TreeShape {
     return nodes_.size();
   }
   /// Number of edges from n up to the root.
-  [[nodiscard]] std::uint32_t depth(NodeId n) const;
+  [[nodiscard]] std::uint32_t depth(NodeId n) const {
+    return nodes_[n].depth;
+  }
   /// The sibling of n, or kNil for the root.
   [[nodiscard]] NodeId sibling(NodeId n) const;
 
@@ -63,15 +80,19 @@ class TreeShape {
     NodeId left = kNil;
     NodeId right = kNil;
     std::uint32_t leaf = kNil;  // leaf ordinal, kNil for internal nodes
+    std::uint32_t depth = 0;    // filled by set_root
   };
 
   NodeId add_leaf(std::uint32_t leaf_ordinal);
   NodeId add_internal(NodeId left_child, NodeId right_child);
-  /// Left-complete tree over leaf ordinals [first, first+count).
-  NodeId build_complete(std::uint32_t first, std::uint32_t count);
+  /// Left-complete tree over the leaf ordinals first + j*stride, j in
+  /// [0, count), placed as described at the top of this file.
+  NodeId build_complete(std::uint32_t first, std::uint32_t count,
+                        std::uint32_t stride = 1);
   /// Bentley-Yao B1 tree over leaf ordinals [0, count).
   NodeId build_b1(std::uint32_t count);
-  void set_root(NodeId r) { root_ = r; }
+  /// Makes r (the last node added) the root and fills every node's depth.
+  void set_root(NodeId r);
 
   std::vector<Node> nodes_;
   std::vector<NodeId> leaves_;
@@ -79,7 +100,7 @@ class TreeShape {
 };
 
 /// A left-complete binary tree with `leaves` >= 1 leaves; leaf i at depth
-/// <= ceil(log2(leaves)).
+/// <= ceil(log2(leaves)), placed as described at the top of this file.
 [[nodiscard]] TreeShape complete_shape(std::uint32_t leaves);
 
 /// The Bentley-Yao B1 tree with `leaves` >= 1 leaves; leaf v at depth
@@ -110,8 +131,8 @@ class AlgorithmATreeShape {
 
   /// Leaf for WriteMax(v), v in [0, N): the v-th leaf of the B1 subtree.
   [[nodiscard]] NodeId value_leaf(std::uint64_t v) const;
-  /// Leaf for WriteMax by process i when the operand is >= N: the i-th leaf
-  /// of the complete subtree.
+  /// Leaf for WriteMax by process i when the operand is >= N: process i's
+  /// leaf of the complete subtree.
   [[nodiscard]] NodeId process_leaf(std::uint32_t i) const;
 
  private:

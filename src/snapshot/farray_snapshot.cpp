@@ -12,6 +12,7 @@ namespace ruco::snapshot {
 FArraySnapshot::FArraySnapshot(std::uint32_t num_processes)
     : n_{num_processes},
       shape_{util::complete_shape(num_processes)},
+      slot_at_{shape_.leaf_order()},
       arenas_(num_processes),
       seq_(num_processes, runtime::PaddedAtomic<std::uint64_t>{0}) {
   if (num_processes == 0) {
@@ -75,9 +76,10 @@ void FArraySnapshot::update(ProcId proc, Value v) {
 std::vector<Value> FArraySnapshot::scan(ProcId /*proc*/) const {
   runtime::step_tick();
   const View* root = nodes_[shape_.root()].value.load(runtime::mo_acquire);
-  std::vector<Value> values;
-  values.reserve(root->entries.size());
-  for (const Entry& e : root->entries) values.push_back(e.value);
+  std::vector<Value> values(n_);
+  for (std::uint32_t pos = 0; pos < n_; ++pos) {
+    values[slot_at_[pos]] = root->entries[pos].value;
+  }
   return values;
 }
 
@@ -85,9 +87,11 @@ std::vector<std::pair<Value, std::uint64_t>> FArraySnapshot::scan_versions(
     ProcId /*proc*/) const {
   runtime::step_tick();
   const View* root = nodes_[shape_.root()].value.load(runtime::mo_acquire);
-  std::vector<std::pair<Value, std::uint64_t>> out;
-  out.reserve(root->entries.size());
-  for (const Entry& e : root->entries) out.emplace_back(e.value, e.seq);
+  std::vector<std::pair<Value, std::uint64_t>> out(n_);
+  for (std::uint32_t pos = 0; pos < n_; ++pos) {
+    const Entry& e = root->entries[pos];
+    out[slot_at_[pos]] = {e.value, e.seq};
+  }
   return out;
 }
 

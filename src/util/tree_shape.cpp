@@ -8,15 +8,6 @@
 
 namespace ruco::util {
 
-std::uint32_t TreeShape::depth(NodeId n) const {
-  std::uint32_t d = 0;
-  while (nodes_[n].parent != kNil) {
-    n = nodes_[n].parent;
-    ++d;
-  }
-  return d;
-}
-
 TreeShape::NodeId TreeShape::sibling(NodeId n) const {
   const NodeId p = nodes_[n].parent;
   if (p == kNil) return kNil;
@@ -46,17 +37,53 @@ TreeShape::NodeId TreeShape::add_internal(NodeId left_child,
 }
 
 TreeShape::NodeId TreeShape::build_complete(std::uint32_t first,
-                                            std::uint32_t count) {
+                                            std::uint32_t count,
+                                            std::uint32_t stride) {
   assert(count >= 1);
   if (count == 1) return add_leaf(first);
+  if (is_pow2(count)) {
+    // Deal the ordinals alternately, even positions left and odd right
+    // (bit-reversed order), so ordinals that are close in number share only
+    // the top of the subtree.  All leaves of a power-of-two complete subtree
+    // sit at one depth, so the deal moves no ordinal to another depth.
+    const NodeId l = build_complete(first, count / 2, 2 * stride);
+    const NodeId r = build_complete(first + stride, count / 2, 2 * stride);
+    return add_internal(l, r);
+  }
   // Left-complete split: the left subtree takes the largest power of two
   // strictly less than count, so every leaf depth is <= ceil(log2(count)).
-  const std::uint32_t half =
-      static_cast<std::uint32_t>(next_pow2(count) / 2);
-  const std::uint32_t left_count = (half == count) ? count / 2 : half;
-  const NodeId l = build_complete(first, left_count);
-  const NodeId r = build_complete(first + left_count, count - left_count);
+  const auto half = static_cast<std::uint32_t>(next_pow2(count) / 2);
+  const NodeId l = build_complete(first, half, stride);
+  const NodeId r = build_complete(first + half * stride, count - half, stride);
   return add_internal(l, r);
+}
+
+void TreeShape::set_root(NodeId r) {
+  assert(r + std::size_t{1} == nodes_.size());
+  root_ = r;
+  // Parents are appended after their children, so a descending pass sees
+  // every parent's depth before its children's.
+  for (std::size_t n = nodes_.size(); n-- > 0;) {
+    const NodeId p = nodes_[n].parent;
+    nodes_[n].depth = p == kNil ? 0 : nodes_[p].depth + 1;
+  }
+}
+
+std::vector<std::uint32_t> TreeShape::leaf_order() const {
+  std::vector<std::uint32_t> order;
+  order.reserve(leaves_.size());
+  std::vector<NodeId> stack{root_};
+  while (!stack.empty()) {
+    const NodeId n = stack.back();
+    stack.pop_back();
+    if (is_leaf(n)) {
+      order.push_back(nodes_[n].leaf);
+    } else {
+      stack.push_back(nodes_[n].right);
+      stack.push_back(nodes_[n].left);
+    }
+  }
+  return order;
 }
 
 TreeShape::NodeId TreeShape::build_b1(std::uint32_t count) {

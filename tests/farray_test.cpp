@@ -50,6 +50,22 @@ TEST(FArray, OrAggregateUnionsBits) {
   EXPECT_EQ(fa.read_aggregate(0), 0b1101);
 }
 
+TEST(FArray, ReadSlotReturnsThatSlotsValue) {
+  // Slots are scattered over the leaves; read_slot must still find each.
+  for (const std::uint32_t n : {4u, 5u, 8u, 64u}) {
+    SumFArray fa{n, 0};
+    Value sum = 0;
+    for (ProcId s = 0; s < n; ++s) {
+      fa.update(s, 1000 + s);
+      sum += 1000 + s;
+    }
+    for (ProcId s = 0; s < n; ++s) {
+      EXPECT_EQ(fa.read_slot(0, s), 1000 + s) << "N=" << n << " slot " << s;
+    }
+    EXPECT_EQ(fa.read_aggregate(0), sum) << "N=" << n;
+  }
+}
+
 TEST(FArray, SingleSlotIsItsOwnRoot) {
   SumFArray fa{1, 0};
   fa.update(0, 7);

@@ -157,6 +157,26 @@ TEST(Snapshots, RejectZeroProcesses) {
   EXPECT_THROW((DoubleCollectSnapshot{0}), std::invalid_argument);
 }
 
+TEST(FArraySnapshot, ScanReturnsEachSlotsOwnSegment) {
+  // Views list leaves in tree position order, which the scattered leaf
+  // placement makes differ from slot order; scan must gather them back.
+  for (const std::uint32_t n : {4u, 5u, 8u, 64u}) {
+    FArraySnapshot snap{n};
+    for (ProcId p = 0; p < n; ++p) {
+      for (ProcId k = 0; k <= p; ++k) snap.update(p, 1000 + p);  // seq p+1
+    }
+    const std::vector<Value> view = snap.scan(0);
+    const auto versions = snap.scan_versions(0);
+    ASSERT_EQ(view.size(), n);
+    ASSERT_EQ(versions.size(), n);
+    for (ProcId p = 0; p < n; ++p) {
+      EXPECT_EQ(view[p], 1000 + p) << "N=" << n << " slot " << p;
+      EXPECT_EQ(versions[p], (std::pair<Value, std::uint64_t>{1000 + p, p + 1}))
+          << "N=" << n << " slot " << p;
+    }
+  }
+}
+
 TEST(FArraySnapshot, VersionsAreMonotonePerSegment) {
   // The product-order monotonicity that makes the double-CAS substitution
   // ABA-free (DESIGN.md): successive root views never regress any

@@ -2,6 +2,7 @@
 // B1, Algorithm A composite), PRNG, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -172,6 +173,134 @@ TEST(TreeShape, SiblingIsSymmetric) {
 TEST(TreeShape, RejectsZeroLeaves) {
   EXPECT_THROW((void)complete_shape(0), std::invalid_argument);
   EXPECT_THROW((void)b1_shape(0), std::invalid_argument);
+}
+
+// -------------------------------------------------------- leaf placement
+
+// Oracle: each ordinal's depth under a plain contiguous left-complete layout
+// of ordinals [first, first + count) hanging at `depth`.
+void contiguous_depths(std::uint32_t first, std::uint32_t count,
+                       std::uint32_t depth, std::vector<std::uint32_t>& out) {
+  if (count == 1) {
+    out[first] = depth;
+    return;
+  }
+  const auto half = static_cast<std::uint32_t>(next_pow2(count) / 2);
+  const std::uint32_t left = half == count ? count / 2 : half;
+  contiguous_depths(first, left, depth + 1, out);
+  contiguous_depths(first + left, count - left, depth + 1, out);
+}
+
+// Depth of the lowest common ancestor of a and b.
+std::uint32_t lca_depth(const TreeShape& shape, TreeShape::NodeId a,
+                        TreeShape::NodeId b) {
+  while (shape.depth(a) > shape.depth(b)) a = shape.parent(a);
+  while (shape.depth(b) > shape.depth(a)) b = shape.parent(b);
+  while (a != b) {
+    a = shape.parent(a);
+    b = shape.parent(b);
+  }
+  return shape.depth(a);
+}
+
+TEST(LeafPlacement, CompleteShapeIsADepthPreservingBijection) {
+  for (std::uint32_t n = 1; n <= 130; ++n) {
+    const TreeShape shape = complete_shape(n);
+    std::vector<std::uint32_t> oracle(n);
+    contiguous_depths(0, n, 0, oracle);
+    std::vector<std::uint32_t> order = shape.leaf_order();
+    ASSERT_EQ(order.size(), n);
+    std::sort(order.begin(), order.end());
+    for (std::uint32_t i = 0; i < n; ++i) {
+      EXPECT_EQ(shape.leaf_index(shape.leaf(i)), i) << "N=" << n;
+      EXPECT_EQ(order[i], i) << "N=" << n;
+      EXPECT_EQ(shape.depth(shape.leaf(i)), oracle[i])
+          << "slot " << i << " of " << n;
+    }
+  }
+}
+
+TEST(LeafPlacement, B1ShapeKeepsEveryValueDepth) {
+  // B1 hangs group g = [2^g - 1, 2^{g+1} - 1) off a right spine at depth
+  // g + 1 (the last group shares the bottom spine node, depth G - 1) and
+  // lays each group out as a complete subtree.
+  for (const std::uint32_t n : {1u, 2u, 3u, 7u, 8u, 100u, 1024u}) {
+    const TreeShape shape = b1_shape(n);
+    const std::uint32_t groups = floor_log2(n) + 1;
+    std::vector<std::uint32_t> oracle(n);
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      const std::uint32_t lo = (1u << g) - 1;
+      const std::uint32_t hi = std::min((2u << g) - 1, n);
+      contiguous_depths(lo, hi - lo, std::min(g + 1, groups - 1), oracle);
+    }
+    for (std::uint32_t v = 0; v < n; ++v) {
+      EXPECT_EQ(shape.depth(shape.leaf(v)), oracle[v])
+          << "value " << v << " of " << n;
+    }
+  }
+}
+
+TEST(LeafPlacement, ThreeLeafShapesAreUnchanged) {
+  // N = 3 has no power-of-two subtree above two leaves, so the shapes the
+  // model-checked 3-process programs run on are node for node the
+  // contiguous ones: {parent, left, right} per NodeId.
+  using Row = std::vector<int>;
+  auto rows = [](const auto& shape) {
+    std::vector<Row> out;
+    for (TreeShape::NodeId n = 0; n < shape.node_count(); ++n) {
+      out.push_back({static_cast<int>(shape.parent(n)),
+                     static_cast<int>(shape.left(n)),
+                     static_cast<int>(shape.right(n))});
+    }
+    return out;
+  };
+  const TreeShape complete = complete_shape(3);
+  EXPECT_EQ(rows(complete), (std::vector<Row>{{2, -1, -1},
+                                              {2, -1, -1},
+                                              {4, 0, 1},
+                                              {4, -1, -1},
+                                              {-1, 2, 3}}));
+  EXPECT_EQ(complete.leaf_order(), (std::vector<std::uint32_t>{0, 1, 2}));
+  const AlgorithmATreeShape alg_a{3};
+  EXPECT_EQ(rows(alg_a), (std::vector<Row>{{2, -1, -1},
+                                           {2, -1, -1},
+                                           {4, 0, 1},
+                                           {4, -1, -1},
+                                           {10, 3, 2},
+                                           {7, -1, -1},
+                                           {7, -1, -1},
+                                           {9, 5, 6},
+                                           {9, -1, -1},
+                                           {10, 7, 8},
+                                           {-1, 4, 9}}));
+  const std::vector<TreeShape::NodeId> value_leaves{3, 0, 1};
+  const std::vector<TreeShape::NodeId> process_leaves{5, 6, 8};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(alg_a.value_leaf(i), value_leaves[i]);
+    EXPECT_EQ(alg_a.process_leaf(i), process_leaves[i]);
+  }
+}
+
+TEST(LeafPlacement, LowSlotsShareOnlyTheTopOfA64LeafTree) {
+  // Slots 0-3 are what a thread registry hands four threads; their root
+  // paths must part within the top two levels.
+  const TreeShape shape = complete_shape(64);
+  for (std::uint32_t a = 0; a < 4; ++a) {
+    for (std::uint32_t b = a + 1; b < 4; ++b) {
+      EXPECT_LE(lca_depth(shape, shape.leaf(a), shape.leaf(b)), 1u)
+          << "slots " << a << " and " << b;
+    }
+  }
+}
+
+TEST(TreeShape, DepthCountsEdgesToTheRoot) {
+  for (const TreeShape& shape : {complete_shape(13), b1_shape(40)}) {
+    for (TreeShape::NodeId n = 0; n < shape.node_count(); ++n) {
+      std::uint32_t edges = 0;
+      for (auto m = n; m != shape.root(); m = shape.parent(m)) ++edges;
+      EXPECT_EQ(shape.depth(n), edges) << "node " << n;
+    }
+  }
 }
 
 class AlgorithmAShapeTest : public ::testing::TestWithParam<std::uint32_t> {};

@@ -318,6 +318,19 @@ TEST(WmmKernels, CounterKernelCoversBothOutcomesOfTheRace) {
   EXPECT_EQ(res.final_states, (OutcomeSet{{2, 1, 1}}));
 }
 
+// The two writers of the two-level kernel below: slots whose leaves of
+// complete_shape(4) lie in different halves of the tree.
+constexpr std::uint32_t kTwoLevelWriters[] = {0, 1};
+
+TEST(WmmKernels, TwoLevelKernelWritersMeetOnlyAtTheRoot) {
+  const util::TreeShape shape = util::complete_shape(4);
+  const auto a = shape.leaf(kTwoLevelWriters[0]);
+  const auto b = shape.leaf(kTwoLevelWriters[1]);
+  EXPECT_NE(shape.parent(a), shape.parent(b));
+  EXPECT_EQ(shape.parent(shape.parent(a)), shape.root());
+  EXPECT_EQ(shape.parent(shape.parent(b)), shape.root());
+}
+
 // The production propagate_twice on a 2-level tree (complete_shape(4)),
 // two increments from different subtrees: each climbs its own uncontended
 // level, and the two meet only at the root, so the acquire node load must
@@ -329,7 +342,7 @@ wmm::Kernel two_level_counter_kernel(const maxreg::PropagateOrders& o) {
   const util::TreeShape shape = util::complete_shape(4);
   const std::vector<wmm::Atomic<Value>> cells =
       wmm::tree_cells(k.program, shape);
-  for (const std::uint32_t leaf : {0u, 2u}) {
+  for (const std::uint32_t leaf : kTwoLevelWriters) {
     k.program.thread([=] {
       cells[shape.leaf(leaf)].store(1, o.leaf_store);
       maxreg::propagate_twice(
