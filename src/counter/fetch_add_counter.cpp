@@ -1,17 +1,13 @@
 #include "ruco/counter/fetch_add_counter.h"
 
-#include "ruco/runtime/stepcount.h"
-
 namespace ruco::counter {
 
 Value FetchAddCounter::read(ProcId /*proc*/) const {
-  runtime::step_tick();
-  return count_.value.load();
+  return count_.load();
 }
 
 void FetchAddCounter::increment(ProcId /*proc*/) {
-  runtime::step_tick();
-  count_.value.fetch_add(1);
+  count_.fetch_add(1);
 }
 
 }  // namespace ruco::counter

@@ -4,10 +4,8 @@
 // read/write/CAS counter can match this point of the tradeoff space.
 #pragma once
 
-#include <atomic>
-
 #include "ruco/core/types.h"
-#include "ruco/runtime/padded.h"
+#include "ruco/runtime/stepcount.h"
 
 namespace ruco::counter {
 
@@ -17,7 +15,7 @@ class FetchAddCounter {
   void increment(ProcId proc);
 
  private:
-  runtime::PaddedAtomic<Value> count_{0};
+  runtime::PaddedShared<Value> count_{0};
 };
 
 }  // namespace ruco::counter

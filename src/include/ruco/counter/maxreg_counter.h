@@ -14,49 +14,127 @@
 // Omega(log N) -- this implementation pays Theta(log^2 N), a log N factor
 // above the bound, and closing that gap is exactly the open question the
 // paper's introduction poses.
+//
+// detail::MaxRegTree is the tree walk itself, written once for any max
+// register type; UnboundedMaxRegCounter instantiates it over
+// UnboundedAacMaxRegister.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "ruco/core/types.h"
 #include "ruco/maxreg/aac_max_register.h"
-#include "ruco/runtime/padded.h"
+#include "ruco/runtime/stepcount.h"
 #include "ruco/util/tree_shape.h"
 
 namespace ruco::counter {
 
-class MaxRegCounter {
+namespace detail {
+
+/// The AAC tree of max registers over the N processes: leaves are
+/// per-process increment counts (single-writer registers), internal nodes
+/// are `Register`s holding the increments in their subtree.
+template <typename Register>
+class MaxRegTree {
+ public:
+  /// Number of increments linearized so far: the root's value.
+  [[nodiscard]] Value read(ProcId proc) const {
+    return node_value(proc, shape_.root());
+  }
+
+  /// Bumps the caller's leaf count, then refreshes every ancestor
+  /// bottom-up: WriteMax(sum of the two children).  The max register
+  /// absorbs racing refreshes (only the largest survives), which is exactly
+  /// why Aspnes et al. use max registers and not plain registers here.
+  void increment(ProcId proc) {
+    assert(proc < n_);
+    const Value mine = leaf_counts_[proc].load() + 1;
+    if (mine >= limit_) throw std::length_error{kLimitExceeded};
+    leaf_counts_[proc].store(mine);
+    for (auto node = shape_.parent(shape_.leaf(proc));
+         node != util::TreeShape::kNil; node = shape_.parent(node)) {
+      const Value sum = node_value(proc, shape_.left(node)) +
+                        node_value(proc, shape_.right(node));
+      if (sum >= limit_) throw std::length_error{kLimitExceeded};
+      nodes_[node]->write_max(proc, sum);
+    }
+  }
+
+  [[nodiscard]] std::uint32_t num_processes() const noexcept { return n_; }
+
+ protected:
+  /// Every internal node is Register{register_arg}.  Leaf counts and node
+  /// sums must stay below `limit`; increment throws std::length_error past
+  /// it.
+  template <typename RegisterArg>
+  MaxRegTree(std::uint32_t num_processes, Value limit,
+             RegisterArg register_arg)
+      : n_{num_processes},
+        limit_{limit},
+        shape_{util::complete_shape(num_processes)},
+        nodes_(shape_.node_count()),
+        leaf_counts_(num_processes, runtime::PaddedShared<Value>{0}) {
+    for (util::TreeShape::NodeId id = 0; id < shape_.node_count(); ++id) {
+      if (!shape_.is_leaf(id)) {
+        nodes_[id] = std::make_unique<Register>(register_arg);
+      }
+    }
+  }
+
+  [[nodiscard]] Value limit() const noexcept { return limit_; }
+
+ private:
+  static constexpr const char* kLimitExceeded =
+      "MaxRegCounter: restricted-use bound exceeded";
+
+  /// The value a node contributes: leaf counts are plain registers,
+  /// internal counts are max registers.
+  [[nodiscard]] Value node_value(ProcId proc,
+                                 util::TreeShape::NodeId node) const {
+    if (shape_.is_leaf(node)) {
+      return leaf_counts_[shape_.leaf_index(node)].load();
+    }
+    const Value v = nodes_[node]->read_max(proc);
+    return v == kNoValue ? 0 : v;
+  }
+
+  std::uint32_t n_;
+  Value limit_;
+  util::TreeShape shape_;
+  // Internal nodes, indexed by NodeId (leaf slots stay null).  unique_ptr
+  // because the registers are not copyable.
+  std::vector<std::unique_ptr<Register>> nodes_;
+  // Leaves: per-process increment counts, indexed by process.
+  std::vector<runtime::PaddedShared<Value>> leaf_counts_;
+};
+
+}  // namespace detail
+
+class MaxRegCounter : public detail::MaxRegTree<maxreg::AacMaxRegister> {
  public:
   /// `max_increments` is the restricted-use bound U: behaviour is specified
   /// only while the total number of increments stays at or below it
   /// (increment throws std::length_error past the bound, making misuse loud
-  /// rather than silently unspecified).
-  MaxRegCounter(std::uint32_t num_processes, Value max_increments);
-
-  /// Number of increments linearized so far.  O(log U) steps.
-  [[nodiscard]] Value read(ProcId proc) const;
-
+  /// rather than silently unspecified).  Read: O(log U) steps; increment:
   /// O(log N * log U) steps.
-  void increment(ProcId proc);
+  MaxRegCounter(std::uint32_t num_processes, Value max_increments)
+      : MaxRegTree{num_processes, checked_bound(max_increments),
+                   max_increments + 1} {}
 
-  [[nodiscard]] std::uint32_t num_processes() const noexcept { return n_; }
-  [[nodiscard]] Value max_increments() const noexcept { return bound_ - 1; }
+  [[nodiscard]] Value max_increments() const noexcept { return limit() - 1; }
 
  private:
-  /// Reads the value a node contributes: leaf counts are plain registers,
-  /// internal counts are max registers.
-  [[nodiscard]] Value node_value(ProcId proc, util::TreeShape::NodeId n) const;
-
-  std::uint32_t n_;
-  Value bound_;  // max register bound: max_increments + 1
-  util::TreeShape shape_;
-  // Internal nodes: an AAC max register each (indexed by NodeId; leaf slots
-  // stay null).  unique_ptr because AacMaxRegister is not movable (atomics).
-  std::vector<std::unique_ptr<maxreg::AacMaxRegister>> nodes_;
-  // Leaves: per-process increment counts (single-writer registers).
-  std::vector<runtime::PaddedAtomic<Value>> leaf_counts_;
+  /// The max register bound, max_increments + 1.
+  static Value checked_bound(Value max_increments) {
+    if (max_increments < 1) {
+      throw std::invalid_argument{"MaxRegCounter: max_increments < 1"};
+    }
+    return max_increments + 1;
+  }
 };
 
 }  // namespace ruco::counter

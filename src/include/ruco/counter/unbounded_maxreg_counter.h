@@ -14,37 +14,23 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <limits>
 
 #include "ruco/core/types.h"
+#include "ruco/counter/maxreg_counter.h"
 #include "ruco/maxreg/unbounded_aac_max_register.h"
-#include "ruco/runtime/padded.h"
-#include "ruco/util/tree_shape.h"
 
 namespace ruco::counter {
 
-class UnboundedMaxRegCounter {
+class UnboundedMaxRegCounter
+    : public detail::MaxRegTree<maxreg::UnboundedAacMaxRegister> {
  public:
+  /// Read: O(log current-count) steps; increment: O(log N *
+  /// log current-count) steps.
   explicit UnboundedMaxRegCounter(std::uint32_t num_processes,
-                                  std::uint32_t max_groups = 20);
-
-  /// Number of increments linearized so far.  O(log current-count) steps.
-  [[nodiscard]] Value read(ProcId proc) const;
-
-  /// O(log N * log current-count) steps.
-  void increment(ProcId proc);
-
-  [[nodiscard]] std::uint32_t num_processes() const noexcept { return n_; }
-
- private:
-  [[nodiscard]] Value node_value(ProcId proc,
-                                 util::TreeShape::NodeId node) const;
-
-  std::uint32_t n_;
-  util::TreeShape shape_;
-  std::vector<std::unique_ptr<maxreg::UnboundedAacMaxRegister>> nodes_;
-  std::vector<runtime::PaddedAtomic<Value>> leaf_counts_;
+                                  std::uint32_t max_groups = 20)
+      : MaxRegTree{num_processes, std::numeric_limits<Value>::max(),
+                   max_groups} {}
 };
 
 }  // namespace ruco::counter

@@ -30,7 +30,6 @@
 #include "ruco/core/types.h"
 #include "ruco/maxreg/propagate.h"
 #include "ruco/runtime/memorder.h"
-#include "ruco/runtime/padded.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/util/tree_shape.h"
 
@@ -46,34 +45,29 @@ class FArray {
         identity_{identity},
         combine_{combine},
         shape_{util::complete_shape(num_slots)},
-        values_(shape_.node_count(), runtime::PaddedAtomic<Value>{identity}) {
+        values_(shape_.node_count(), runtime::PaddedShared<Value>{identity}) {
     if (num_slots == 0) throw std::invalid_argument{"FArray: 0 slots"};
   }
 
   /// Sets slot `slot` (single writer per slot) and refreshes the path.
   /// O(log N) steps.
   void update(ProcId slot, Value v) {
-    telemetry::prod().farray_updates.inc();
     const auto leaf = shape_.leaf(slot);
-    runtime::step_tick();
     // Release pairs with the acquire child loads in propagate_twice (ours
     // and every concurrent refresher's).
-    values_[leaf].value.store(v, runtime::mo_release);
+    values_[leaf].store(v, runtime::mo_release);
     maxreg::propagate_twice(shape_, maxreg::padded_cells(values_), leaf,
                             combine_);
   }
 
   /// The aggregate over all slots.  One step.
   [[nodiscard]] Value read_aggregate(ProcId /*proc*/) const {
-    telemetry::prod().farray_reads.inc();
-    runtime::step_tick();
-    return values_[shape_.root()].value.load(runtime::mo_acquire);
+    return values_[shape_.root()].load(runtime::mo_acquire);
   }
 
   /// Direct read of one slot.  One step.
   [[nodiscard]] Value read_slot(ProcId /*proc*/, std::uint32_t slot) const {
-    runtime::step_tick();
-    return values_[shape_.leaf(slot)].value.load(runtime::mo_acquire);
+    return values_[shape_.leaf(slot)].load(runtime::mo_acquire);
   }
 
   [[nodiscard]] std::uint32_t num_slots() const noexcept { return n_; }
@@ -84,7 +78,7 @@ class FArray {
   Value identity_;
   Combine combine_;
   util::TreeShape shape_;
-  std::vector<runtime::PaddedAtomic<Value>> values_;
+  std::vector<runtime::PaddedShared<Value>> values_;
 };
 
 struct MaxCombine {

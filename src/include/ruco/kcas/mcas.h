@@ -32,13 +32,12 @@
 // constant-factor price of strengthening the primitive in software.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
 #include "ruco/core/types.h"
-#include "ruco/runtime/padded.h"
+#include "ruco/runtime/stepcount.h"
 
 namespace ruco::kcas {
 
@@ -86,15 +85,15 @@ class McasArray {
   struct McasDescriptor;
 
   struct RdcssDescriptor {
-    std::atomic<std::uintptr_t>* control = nullptr;  // MCAS status cell
-    std::uintptr_t expected_control = 0;             // kUndecided
-    std::atomic<Word>* cell = nullptr;
+    runtime::Shared<std::uintptr_t>* control = nullptr;  // MCAS status
+    std::uintptr_t expected_control = 0;                 // kUndecided
+    runtime::Shared<Word>* cell = nullptr;
     Word expected = 0;  // value-tagged
     Word desired = 0;   // MCAS-descriptor-tagged
   };
 
   struct McasDescriptor {
-    std::atomic<std::uintptr_t> status{
+    runtime::Shared<std::uintptr_t> status{
         static_cast<std::uintptr_t>(Status::kUndecided)};
     std::vector<McasWord> words;  // sorted by index
   };
@@ -129,7 +128,7 @@ class McasArray {
   /// whether it succeeded.
   bool mcas_help(ProcId proc, McasDescriptor* d);
 
-  std::vector<runtime::PaddedAtomic<Word>> cells_;
+  std::vector<runtime::PaddedShared<Word>> cells_;
   // Owner-only appenders; deque keeps descriptor addresses stable.
   struct alignas(runtime::kCacheLine) Arena {
     std::deque<McasDescriptor> mcas;

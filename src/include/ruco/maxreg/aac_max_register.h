@@ -16,11 +16,11 @@
 // Theorem 3 lower-bounds: f(K) = O(log M) reads, Theta(log M) writes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "ruco/core/types.h"
+#include "ruco/runtime/stepcount.h"
 
 namespace ruco::maxreg {
 
@@ -29,6 +29,8 @@ class AacMaxRegister {
   /// An M-bounded register: operands must lie in [0, bound).  The switch
   /// tree has next_pow2(bound) - 1 internal one-bit registers.
   explicit AacMaxRegister(Value bound);
+  AacMaxRegister(const AacMaxRegister&) = delete;
+  AacMaxRegister& operator=(const AacMaxRegister&) = delete;
 
   /// Largest value written so far, or kNoValue.  Exactly
   /// ceil(log2(bound)) read steps.
@@ -43,13 +45,14 @@ class AacMaxRegister {
   Value bound_;
   std::uint32_t levels_;  // ceil(log2(next_pow2(bound)))
   // Heap-ordered switch bits: node 1 is the root, node k has children 2k and
-  // 2k+1.  Plain one-byte registers (the algorithm uses only read/write).
-  std::vector<std::atomic<std::uint8_t>> switches_;
+  // 2k+1.  Unpadded one-byte registers (the algorithm uses only
+  // read/write), so an M-bounded register stores M bytes of switches.
+  std::vector<runtime::Shared<std::uint8_t>> switches_;
   // Has any write completed?  The original algorithm assumes domain [0, M)
   // with 0 as the implicit initial value; one extra "written" bit lets
   // ReadMax report kNoValue on a fresh register instead of 0, aligning all
   // our max registers on the same specification.
-  std::atomic<std::uint8_t> any_write_;
+  runtime::Shared<std::uint8_t> any_write_;
 };
 
 }  // namespace ruco::maxreg

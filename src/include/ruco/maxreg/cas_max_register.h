@@ -11,10 +11,8 @@
 // the retry chains the construction manufactures.
 #pragma once
 
-#include <atomic>
-
 #include "ruco/core/types.h"
-#include "ruco/runtime/padded.h"
+#include "ruco/runtime/stepcount.h"
 
 namespace ruco::maxreg {
 
@@ -29,7 +27,7 @@ class CasMaxRegister {
   void write_max(ProcId proc, Value v);
 
  private:
-  runtime::PaddedAtomic<Value> cell_;
+  runtime::PaddedShared<Value> cell_;
 };
 
 }  // namespace ruco::maxreg

@@ -2,10 +2,10 @@
 // and the f-array family (Hendler & Khait Algorithm A lines 3-9; Jayanti's
 // Tree Algorithm adapted from LL/SC to CAS).  This is the one hardware
 // implementation of the protocol: the production objects instantiate it over
-// std::atomic cells, and the RC11 weak-memory checker (ruco/wmm/kernels.h)
-// instantiates the same template over wmm::Atomic cells, so the orders it
-// certifies are the orders of the code that ships.  The simulator's
-// step-by-step twin is simalgos::sim_propagate.
+// runtime::Shared cells (which count the steps), and the RC11 weak-memory
+// checker (ruco/wmm/kernels.h) instantiates the same template over
+// wmm::Atomic cells, so the orders it certifies are the orders of the code
+// that ships.  The simulator's step-by-step twin is simalgos::sim_propagate.
 //
 // At every node on the path from `start` to the root, the caller's combine
 // function is evaluated over the two children and CASed into the node.
@@ -70,7 +70,6 @@
 
 #include "ruco/maxreg/refresh_policy.h"
 #include "ruco/runtime/memorder.h"
-#include "ruco/runtime/padded.h"
 #include "ruco/runtime/stepcount.h"
 #include "ruco/telemetry/metrics.h"
 
@@ -98,17 +97,18 @@ struct ShippedOrders {
   static constexpr std::memory_order cas_fail = kOrders.cas_fail;
 };
 
-/// Cell accessor over the production layout: node n is `values[n].value`.
+/// Cell accessor over the production layout: node n is `values[n]`.
 template <typename T>
-auto padded_cells(std::vector<runtime::PaddedAtomic<T>>& values) {
-  return [&values](std::uint32_t n) -> std::atomic<T>& {
-    return values[n].value;
+auto padded_cells(std::vector<runtime::PaddedShared<T>>& values) {
+  return [&values](std::uint32_t n) -> runtime::Shared<T>& {
+    return values[n];
   };
 }
 
 /// Propagates from the *parent* of `start` up to the root of `shape`.
 /// `cell(n)` returns node n's atomic cell -- anything with the std::atomic
-/// `load` / `compare_exchange_strong` surface; `combine(l, r)` computes the
+/// `load` / `compare_exchange_strong` surface (runtime::Shared in
+/// production, where each access is one step); `combine(l, r)` computes the
 /// new aggregate from the two child values.  The cell value type must be
 /// trivially copyable, equality-comparable, and the sequence of values at
 /// every cell monotone under `combine` (see file comment).
@@ -134,13 +134,10 @@ void propagate_twice(const Shape& shape, Cell&& cell,
     const NodeId l = shape.left(n);
     const NodeId r = shape.right(n);
     for (int round = 0; round < 2; ++round) {
-      runtime::step_tick();
       // Acquire, not relaxed: the skip/stop decisions below need the
       // installer's child reads to happen-before ours (see file comment).
       auto old_value = cell(n).load(orders.node_load);
-      runtime::step_tick();
       const auto lv = cell(l).load(orders.child_load);
-      runtime::step_tick();
       const auto rv = cell(r).load(orders.child_load);
       const decltype(old_value) new_value = combine(lv, rv);
       if (conditional && new_value == old_value) {
@@ -148,7 +145,6 @@ void propagate_twice(const Shape& shape, Cell&& cell,
         ++skipped;
         break;
       }
-      runtime::step_tick();
       ++attempts;
       if (cell(n).compare_exchange_strong(old_value, new_value, orders.cas_ok,
                                           orders.cas_fail)) {

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "ruco/core/types.h"
-#include "ruco/runtime/padded.h"
+#include "ruco/runtime/stepcount.h"
 #include "ruco/util/tree_shape.h"
 
 namespace ruco::maxreg {
@@ -67,7 +67,7 @@ class TreeMaxRegister {
 
  private:
   util::AlgorithmATreeShape shape_;
-  std::vector<runtime::PaddedAtomic<Value>> values_;
+  std::vector<runtime::PaddedShared<Value>> values_;
   Faithfulness mode_;
 };
 

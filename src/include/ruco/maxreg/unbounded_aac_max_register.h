@@ -36,6 +36,7 @@
 
 #include "ruco/core/types.h"
 #include "ruco/maxreg/aac_max_register.h"
+#include "ruco/runtime/stepcount.h"
 
 namespace ruco::maxreg {
 
@@ -70,8 +71,9 @@ class UnboundedAacMaxRegister {
 
   std::uint32_t max_groups_;
   // Spine switches: spine_[g] = 1 means a write reached a group > g.
-  std::vector<std::atomic<std::uint8_t>> spine_;
-  // Bounded register over group g's 2^g values, lazily installed.
+  std::vector<runtime::Shared<std::uint8_t>> spine_;
+  // Bounded register over group g's 2^g values, lazily installed (outside
+  // the step model, so a plain atomic).
   std::vector<std::atomic<AacMaxRegister*>> groups_;
 };
 

@@ -7,7 +7,7 @@
 // sleeping, no yielding) so it never trades lock-freedom for latency: a
 // retry is delayed by at most kMaxSpins pause instructions, which is
 // nanoseconds, and the paper's step-complexity measure is untouched -- a
-// pause is not a shared-memory event and is never step_tick()ed.
+// pause touches no base object (runtime::Shared), so it is not a step.
 #pragma once
 
 #include <cstdint>

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "ruco/core/types.h"
-#include "ruco/runtime/padded.h"
+#include "ruco/runtime/stepcount.h"
 
 namespace ruco::snapshot {
 
@@ -45,7 +45,7 @@ class AfekSnapshot {
 
   std::uint32_t n_;
   Record initial_;
-  std::vector<runtime::PaddedAtomic<const Record*>> segments_;
+  std::vector<runtime::PaddedShared<const Record*>> segments_;
   // Owner-only appenders; deque keeps published records' addresses stable.
   std::vector<std::deque<Record>> arenas_;
 };

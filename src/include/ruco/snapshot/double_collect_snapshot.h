@@ -15,6 +15,7 @@
 
 #include "ruco/core/types.h"
 #include "ruco/runtime/padded.h"
+#include "ruco/runtime/stepcount.h"
 
 namespace ruco::snapshot {
 
@@ -49,7 +50,7 @@ class DoubleCollectSnapshot {
   void collect(std::vector<Packed>& out) const;
 
   std::uint32_t n_;
-  std::vector<runtime::PaddedAtomic<Packed>> segments_;
+  std::vector<runtime::PaddedShared<Packed>> segments_;
   std::vector<runtime::PaddedAtomic<std::uint64_t>> seq_;  // per-writer
 };
 

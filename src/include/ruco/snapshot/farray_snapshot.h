@@ -23,6 +23,7 @@
 
 #include "ruco/core/types.h"
 #include "ruco/runtime/padded.h"
+#include "ruco/runtime/stepcount.h"
 #include "ruco/util/tree_shape.h"
 
 namespace ruco::snapshot {
@@ -59,7 +60,7 @@ class FArraySnapshot {
   std::uint32_t n_;
   util::TreeShape shape_;
   std::vector<std::uint32_t> slot_at_;  // root view position -> process
-  std::vector<runtime::PaddedAtomic<const View*>> nodes_;
+  std::vector<runtime::PaddedShared<const View*>> nodes_;
   std::deque<View> initial_views_;          // built at construction
   std::vector<std::deque<View>> arenas_;    // owner-only appenders
   std::vector<runtime::PaddedAtomic<std::uint64_t>> seq_;  // per-writer

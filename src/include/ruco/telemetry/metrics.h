@@ -1,6 +1,6 @@
 // Process-wide metric handles for the production (hardware) layer.
 //
-// Every hot-path instrumentation site in maxreg/kcas/farray/runtime pulls
+// Every hot-path instrumentation site in maxreg/kcas/runtime pulls
 // its handle from this struct instead of registering by name inline, so
 //   * registration cost is paid once, at first use, and
 //   * the full metric namespace is visible in one place.
@@ -34,10 +34,6 @@ struct ProdMetrics {
   Counter mcas_helps;          // mcas_help entered on behalf of another op
   Counter mcas_rdcss_helps;    // rdcss_complete invoked by a reader
   Counter mcas_cas_failures;   // failed phase-1 rdcss acquisitions
-
-  // farray: Write-and-f-array operations.
-  Counter farray_updates;
-  Counter farray_reads;
 
   // runtime: thread-harness phase accounting.
   Counter harness_runs;      // run_threads invocations

@@ -3,7 +3,7 @@
 // The paper's whole evaluation is *counting shared-memory events*, yet until
 // this subsystem the repo could only observe one number (the thread-local
 // step total in runtime/stepcount.h).  The registry generalizes that idea:
-// named counters, gauges and fixed-bucket histograms, grouped into labeled
+// named counters and fixed-bucket histograms, grouped into labeled
 // domains ("maxreg", "mcas", "runtime", ...), cheap enough to leave enabled
 // on production hot paths.
 //
@@ -24,7 +24,7 @@
 //     taken while threads run sees each cell at some recent value, which is
 //     exactly the semantics of sampling a live system.
 //   * Compiling with -DRUCO_NO_TELEMETRY turns every hot-path mutation
-//     (Counter::add, Histogram::record, Gauge::set) into an empty inline
+//     (Counter::add, Histogram::record) into an empty inline
 //     function, so the instrumentation can be proven free (the overhead
 //     comparison is recorded in docs/OBSERVABILITY.md).
 //
@@ -35,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,7 +45,7 @@
 
 namespace ruco::telemetry {
 
-enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+enum class Kind : std::uint8_t { kCounter, kHistogram };
 
 [[nodiscard]] const char* to_string(Kind k) noexcept;
 
@@ -57,8 +56,6 @@ struct MetricSnapshot {
   Kind kind = Kind::kCounter;
   /// Counter: total.  Histogram: total samples (incl. overflow).
   std::uint64_t value = 0;
-  /// Gauge: last set value (gauges are signed).
-  std::int64_t gauge = 0;
   /// Histogram only: per-bucket counts, then the overflow count.
   std::vector<std::uint64_t> buckets;
   std::uint64_t overflow = 0;
@@ -109,18 +106,6 @@ class Counter {
   std::uint32_t cell_ = 0;
 };
 
-/// Last-writer-wins signed gauge (not sharded: gauges are low-rate).
-class Gauge {
- public:
-  Gauge() = default;
-  void set(std::int64_t v) const noexcept;
-  void add(std::int64_t d) const noexcept;
-
- private:
-  friend class Registry;
-  std::atomic<std::int64_t>* cell_ = nullptr;
-};
-
 /// Fixed-bucket histogram handle over [0, buckets); larger samples land in
 /// the overflow bucket (same convention as util::Histogram, which the
 /// snapshot mirrors).
@@ -153,7 +138,6 @@ class Registry {
   /// registration, std::length_error when out of cell capacity.
   [[nodiscard]] Counter counter(std::string_view domain,
                                 std::string_view name);
-  [[nodiscard]] Gauge gauge(std::string_view domain, std::string_view name);
   [[nodiscard]] Histogram histogram(std::string_view domain,
                                     std::string_view name,
                                     std::uint32_t buckets);
@@ -161,7 +145,7 @@ class Registry {
   /// Metrics in registration order, cells summed across all thread slabs.
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Zeroes every cell and gauge (metric definitions stay registered).
+  /// Zeroes every cell (metric definitions stay registered).
   /// Phase-scoped measurements snapshot, then reset.
   void reset() noexcept;
 
@@ -188,9 +172,8 @@ class Registry {
     std::string domain;
     std::string name;
     Kind kind = Kind::kCounter;
-    std::uint32_t first_cell = 0;  // sharded cell range (counter/histogram)
+    std::uint32_t first_cell = 0;  // sharded cell range
     std::uint32_t cells = 0;
-    std::uint32_t gauge_index = 0;  // gauges only
   };
 
   [[nodiscard]] runtime::PaddedAtomic<std::uint64_t>* local_cells();
@@ -202,11 +185,10 @@ class Registry {
 
   const std::uint32_t capacity_;
   const std::uint64_t id_;  // process-unique; basis of the TLS inline cache
-  mutable std::mutex mu_;   // guards defs_, slabs_, gauges_ structure
+  mutable std::mutex mu_;   // guards defs_, slabs_ structure
   std::vector<MetricDef> defs_;
   std::uint32_t next_cell_ = 0;
   std::vector<std::unique_ptr<Slab>> slabs_;
-  std::deque<std::atomic<std::int64_t>> gauges_;  // stable addresses
 };
 
 // ---------------------------------------------------------------------------
@@ -238,8 +220,6 @@ inline runtime::PaddedAtomic<std::uint64_t>* Registry::local_cells() {
 #ifdef RUCO_NO_TELEMETRY
 
 inline void Counter::add(std::uint64_t) const noexcept {}
-inline void Gauge::set(std::int64_t) const noexcept {}
-inline void Gauge::add(std::int64_t) const noexcept {}
 inline void Histogram::record(std::uint64_t) const noexcept {}
 
 #else
@@ -257,14 +237,6 @@ inline void Counter::add(std::uint64_t n) const noexcept {
     return;
   }
   add_slow(n);
-}
-
-inline void Gauge::set(std::int64_t v) const noexcept {
-  if (cell_ != nullptr) cell_->store(v, std::memory_order_relaxed);
-}
-
-inline void Gauge::add(std::int64_t d) const noexcept {
-  if (cell_ != nullptr) cell_->fetch_add(d, std::memory_order_relaxed);
 }
 
 inline void Histogram::record(std::uint64_t x) const noexcept {

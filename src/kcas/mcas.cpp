@@ -5,7 +5,6 @@
 
 #include "ruco/runtime/backoff.h"
 #include "ruco/runtime/memorder.h"
-#include "ruco/runtime/stepcount.h"
 #include "ruco/telemetry/metrics.h"
 
 // Memory orders (DESIGN.md "Hot-path memory orders").  Descriptors are
@@ -34,7 +33,7 @@ McasArray::McasArray(std::uint32_t num_cells, Value init,
   if (num_processes == 0) {
     throw std::invalid_argument{"McasArray: 0 processes"};
   }
-  cells_.assign(num_cells, runtime::PaddedAtomic<Word>{pack_value(init)});
+  cells_.assign(num_cells, runtime::PaddedShared<Word>{pack_value(init)});
 }
 
 McasArray::Word McasArray::pack_value(Value v) {
@@ -50,12 +49,10 @@ Value McasArray::unpack_value(Word w) noexcept {
 }
 
 void McasArray::rdcss_complete(RdcssDescriptor* d) {
-  runtime::step_tick();
   const std::uintptr_t control = d->control->load(runtime::mo_acquire);
   Word parked = tag_rdcss(d);
   const Word next =
       control == d->expected_control ? d->desired : d->expected;
-  runtime::step_tick();
   d->cell->compare_exchange_strong(parked, next, runtime::mo_release,
                                    runtime::mo_relaxed);
 }
@@ -64,7 +61,6 @@ McasArray::Word McasArray::rdcss(RdcssDescriptor* d) {
   runtime::Backoff backoff;
   for (;;) {
     Word current = d->expected;
-    runtime::step_tick();
     if (d->cell->compare_exchange_strong(current, tag_rdcss(d),
                                          runtime::mo_acq_rel,
                                          runtime::mo_acquire)) {
@@ -84,7 +80,6 @@ McasArray::Word McasArray::rdcss(RdcssDescriptor* d) {
 }
 
 bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
-  runtime::step_tick();
   if (d->status.load(runtime::mo_acquire) ==
       static_cast<std::uintptr_t>(Status::kUndecided)) {
     // Phase 1: acquire every word, wedging our descriptor in, unless the
@@ -98,7 +93,7 @@ bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
         rd->control = &d->status;
         rd->expected_control =
             static_cast<std::uintptr_t>(Status::kUndecided);
-        rd->cell = &cells_[word.index].value;
+        rd->cell = &cells_[word.index];
         rd->expected = pack_value(word.expected);
         rd->desired = tag_mcas(d);
         const Word content = rdcss(rd);
@@ -127,20 +122,17 @@ bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
     }
     auto expected_status =
         static_cast<std::uintptr_t>(Status::kUndecided);
-    runtime::step_tick();
     d->status.compare_exchange_strong(expected_status, desired_status,
                                       runtime::mo_acq_rel,
                                       runtime::mo_acquire);
   }
   // Phase 2: release every word to its decided value.
-  runtime::step_tick();
   const bool success =
       d->status.load(runtime::mo_acquire) ==
       static_cast<std::uintptr_t>(Status::kSucceeded);
   for (const McasWord& word : d->words) {
     Word parked = tag_mcas(d);
-    runtime::step_tick();
-    cells_[word.index].value.compare_exchange_strong(
+    cells_[word.index].compare_exchange_strong(
         parked, pack_value(success ? word.desired : word.expected),
         runtime::mo_release, runtime::mo_relaxed);
   }
@@ -150,8 +142,7 @@ bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
 Value McasArray::read(ProcId proc, std::uint32_t index) {
   runtime::Backoff backoff;
   for (;;) {
-    runtime::step_tick();
-    const Word w = cells_[index].value.load(runtime::mo_acquire);
+    const Word w = cells_[index].load(runtime::mo_acquire);
     if (is_rdcss(w)) {
       telemetry::prod().mcas_rdcss_helps.inc();
       rdcss_complete(as_rdcss(w));

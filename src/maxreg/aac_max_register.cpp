@@ -3,30 +3,27 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "ruco/runtime/stepcount.h"
 #include "ruco/telemetry/metrics.h"
 #include "ruco/util/bits.h"
 
 namespace ruco::maxreg {
 
 AacMaxRegister::AacMaxRegister(Value bound)
-    : bound_{bound}, levels_{0}, any_write_{0} {
+    : bound_{bound}, levels_{0} {
   if (bound < 1) throw std::invalid_argument{"AacMaxRegister: bound < 1"};
   const std::uint64_t capacity =
       util::next_pow2(static_cast<std::uint64_t>(bound));
   levels_ = util::floor_log2(capacity);
   // Heap-ordered internal nodes 1 .. capacity-1 (index 0 unused).
-  switches_ = std::vector<std::atomic<std::uint8_t>>(capacity);
+  switches_ = std::vector<runtime::Shared<std::uint8_t>>(capacity);
 }
 
 Value AacMaxRegister::read_max(ProcId /*proc*/) const {
-  runtime::step_tick();
   if (any_write_.load() == 0) return kNoValue;
   std::uint64_t node = 1;
   Value acc = 0;
   Value half = levels_ > 0 ? Value{1} << (levels_ - 1) : 0;
   for (std::uint32_t d = 0; d < levels_; ++d, half >>= 1) {
-    runtime::step_tick();
     if (switches_[node].load() != 0) {
       acc += half;
       node = 2 * node + 1;
@@ -53,7 +50,6 @@ void AacMaxRegister::write_max(ProcId /*proc*/, Value v) {
   Value rest = v;
   for (std::uint32_t d = 0; d < levels_; ++d, half >>= 1) {
     if (rest < half) {
-      runtime::step_tick();
       if (switches_[node].load() != 0) {  // abandon: dominated
         telemetry::prod().aac_write_abandons.inc();
         break;
@@ -69,11 +65,9 @@ void AacMaxRegister::write_max(ProcId /*proc*/, Value v) {
   // once the value beneath it is fully recorded.  On abandon this unwinds
   // exactly like the recursive original returning through its callers.
   for (std::size_t i = num_right_turns; i-- > 0;) {
-    runtime::step_tick();
     switches_[right_turns[i]].store(1);
     telemetry::prod().aac_switches_set.inc();
   }
-  runtime::step_tick();
   any_write_.store(1);
 }
 

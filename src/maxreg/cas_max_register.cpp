@@ -5,14 +5,12 @@
 
 #include "ruco/runtime/backoff.h"
 #include "ruco/runtime/memorder.h"
-#include "ruco/runtime/stepcount.h"
 #include "ruco/telemetry/metrics.h"
 
 namespace ruco::maxreg {
 
 Value CasMaxRegister::read_max(ProcId /*proc*/) const {
-  runtime::step_tick();
-  return cell_.value.load(runtime::mo_acquire);
+  return cell_.load(runtime::mo_acquire);
 }
 
 void CasMaxRegister::write_max(ProcId /*proc*/, Value v) {
@@ -25,19 +23,16 @@ void CasMaxRegister::write_max(ProcId /*proc*/, Value v) {
   // read_max's acquire), and a failed CAS reloads relaxed: the reloaded
   // value only feeds the monotone `current < v` retest, where per-location
   // coherence already orders it after every value this thread has seen.
-  runtime::step_tick();
-  Value current = cell_.value.load(runtime::mo_relaxed);
+  Value current = cell_.load(runtime::mo_relaxed);
   // Batched telemetry: tally the CAS loop in locals and publish once, so a
   // contended retry burst costs one counter write, not one per attempt.
   std::uint64_t attempts = 0;
   bool won = false;
   runtime::Backoff backoff;
   while (current < v) {
-    runtime::step_tick();
     ++attempts;
-    if (cell_.value.compare_exchange_weak(current, v,
-                                          runtime::mo_release,
-                                          runtime::mo_relaxed)) {
+    if (cell_.compare_exchange_weak(current, v, runtime::mo_release,
+                                    runtime::mo_relaxed)) {
       won = true;
       break;
     }

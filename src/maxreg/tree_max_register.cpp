@@ -6,7 +6,6 @@
 
 #include "ruco/maxreg/propagate.h"
 #include "ruco/runtime/memorder.h"
-#include "ruco/runtime/stepcount.h"
 #include "ruco/telemetry/metrics.h"
 
 namespace ruco::maxreg {
@@ -20,12 +19,11 @@ constexpr Value combine_max(Value l, Value r) noexcept {
 TreeMaxRegister::TreeMaxRegister(std::uint32_t num_processes,
                                  Faithfulness mode)
     : shape_{num_processes},
-      values_(shape_.node_count(), runtime::PaddedAtomic<Value>{kNoValue}),
+      values_(shape_.node_count(), runtime::PaddedShared<Value>{kNoValue}),
       mode_{mode} {}
 
 Value TreeMaxRegister::read_max(ProcId /*proc*/) const {
-  runtime::step_tick();
-  return values_[shape_.root()].value.load(runtime::mo_acquire);
+  return values_[shape_.root()].load(runtime::mo_acquire);
 }
 
 void TreeMaxRegister::write_max(ProcId proc, Value v) {
@@ -39,8 +37,7 @@ void TreeMaxRegister::write_max(ProcId proc, Value v) {
     // write that put the root there -- O(1) instead of a full descent.
     // Not applied in kAsPrinted mode, which reproduces the paper's literal
     // pseudocode.
-    runtime::step_tick();
-    if (values_[shape_.root()].value.load(runtime::mo_acquire) >= v) {
+    if (values_[shape_.root()].load(runtime::mo_acquire) >= v) {
       telemetry::prod().tree_root_fastpath.inc();
       return;
     }
@@ -49,9 +46,7 @@ void TreeMaxRegister::write_max(ProcId proc, Value v) {
                         ? shape_.value_leaf(static_cast<std::uint64_t>(v))
                         : shape_.process_leaf(proc);
   telemetry::prod().tree_descent_depth.record(shape_.depth(leaf));
-  runtime::step_tick();
-  const Value old_value =
-      values_[leaf].value.load(runtime::mo_acquire);
+  const Value old_value = values_[leaf].load(runtime::mo_acquire);
   if (v <= old_value) {
     // Another write of >= v already reached this leaf.  The paper's printed
     // code returns here; without helping, the other write may not have
@@ -63,8 +58,7 @@ void TreeMaxRegister::write_max(ProcId proc, Value v) {
     }
     return;
   }
-  runtime::step_tick();
-  values_[leaf].value.store(v, runtime::mo_release);
+  values_[leaf].store(v, runtime::mo_release);
   propagate_twice(shape_, padded_cells(values_), leaf, combine_max);
 }
 

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "ruco/runtime/stepcount.h"
 #include "ruco/util/bits.h"
 
 namespace ruco::maxreg {
@@ -20,7 +19,7 @@ UnboundedAacMaxRegister::UnboundedAacMaxRegister(std::uint32_t max_groups)
     throw std::invalid_argument{
         "UnboundedAacMaxRegister: max_groups out of [1, 26]"};
   }
-  spine_ = std::vector<std::atomic<std::uint8_t>>(max_groups_);
+  spine_ = std::vector<runtime::Shared<std::uint8_t>>(max_groups_);
   groups_ = std::vector<std::atomic<AacMaxRegister*>>(max_groups_);
 }
 
@@ -53,7 +52,6 @@ Value UnboundedAacMaxRegister::read_max(ProcId proc) const {
   // group.
   std::uint32_t g = 0;
   while (g + 1 < max_groups_) {
-    runtime::step_tick();
     if (spine_[g].load() == 0) break;
     ++g;
   }
@@ -77,14 +75,12 @@ void UnboundedAacMaxRegister::write_max(ProcId proc, Value v) {
   // AAC composition, unrolled along the spine: v lives in the *left* part
   // of spine node g, so check that node's switch before writing; the spine
   // nodes below g were right turns, whose switches rise on the way out.
-  runtime::step_tick();
   if (spine_[g].load() == 0) {
     group(g).write_max(proc, v - group_base(g));
   }
   // Raise the right-turn switches bottom-up (s_{g-1} first): each rises
   // only once everything beneath it is recorded.
   for (std::uint32_t s = g; s-- > 0;) {
-    runtime::step_tick();
     spine_[s].store(1);
   }
 }

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "ruco/runtime/stepcount.h"
-
 namespace ruco::snapshot {
 
 AfekSnapshot::AfekSnapshot(std::uint32_t num_processes)
@@ -13,7 +11,7 @@ AfekSnapshot::AfekSnapshot(std::uint32_t num_processes)
     throw std::invalid_argument{"AfekSnapshot: 0 processes"};
   }
   segments_.assign(num_processes,
-                   runtime::PaddedAtomic<const Record*>{&initial_});
+                   runtime::PaddedShared<const Record*>{&initial_});
 }
 
 std::vector<Value> AfekSnapshot::scan(ProcId /*proc*/) const {
@@ -21,13 +19,11 @@ std::vector<Value> AfekSnapshot::scan(ProcId /*proc*/) const {
   std::vector<const Record*> second(n_);
   std::vector<bool> moved(n_, false);
   for (std::uint32_t i = 0; i < n_; ++i) {
-    runtime::step_tick();
-    first[i] = segments_[i].value.load();
+    first[i] = segments_[i].load();
   }
   for (;;) {
     for (std::uint32_t i = 0; i < n_; ++i) {
-      runtime::step_tick();
-      second[i] = segments_[i].value.load();
+      second[i] = segments_[i].load();
     }
     bool clean = true;
     for (std::uint32_t i = 0; i < n_; ++i) {
@@ -57,8 +53,7 @@ void AfekSnapshot::update(ProcId proc, Value v) {
   auto& arena = arenas_[proc];
   const std::uint64_t seq = arena.empty() ? 1 : arena.back().seq + 1;
   arena.push_back(Record{v, seq, std::move(embedded)});
-  runtime::step_tick();
-  segments_[proc].value.store(&arena.back());
+  segments_[proc].store(&arena.back());
 }
 
 }  // namespace ruco::snapshot

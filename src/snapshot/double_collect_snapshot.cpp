@@ -3,13 +3,11 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "ruco/runtime/stepcount.h"
-
 namespace ruco::snapshot {
 
 DoubleCollectSnapshot::DoubleCollectSnapshot(std::uint32_t num_processes)
     : n_{num_processes},
-      segments_(num_processes, runtime::PaddedAtomic<Packed>{pack(0, 0)}),
+      segments_(num_processes, runtime::PaddedShared<Packed>{pack(0, 0)}),
       seq_(num_processes, runtime::PaddedAtomic<std::uint64_t>{0}) {
   if (num_processes == 0) {
     throw std::invalid_argument{"DoubleCollectSnapshot: 0 processes"};
@@ -28,15 +26,13 @@ void DoubleCollectSnapshot::update(ProcId proc, Value v) {
     throw std::length_error{"DoubleCollectSnapshot: update bound exceeded"};
   }
   seq_[proc].value.store(s, std::memory_order_relaxed);
-  runtime::step_tick();
-  segments_[proc].value.store(pack(v, s));
+  segments_[proc].store(pack(v, s));
 }
 
 void DoubleCollectSnapshot::collect(std::vector<Packed>& out) const {
   out.clear();
   for (std::uint32_t i = 0; i < n_; ++i) {
-    runtime::step_tick();
-    out.push_back(segments_[i].value.load());
+    out.push_back(segments_[i].load());
   }
 }
 

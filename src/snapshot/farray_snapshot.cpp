@@ -5,7 +5,6 @@
 
 #include "ruco/maxreg/propagate.h"
 #include "ruco/runtime/memorder.h"
-#include "ruco/runtime/stepcount.h"
 
 namespace ruco::snapshot {
 
@@ -19,8 +18,6 @@ FArraySnapshot::FArraySnapshot(std::uint32_t num_processes)
     throw std::invalid_argument{"FArraySnapshot: 0 processes"};
   }
   // Build the initial per-node views bottom-up (single-threaded setup).
-  nodes_.assign(shape_.node_count(),
-                runtime::PaddedAtomic<const View*>{nullptr});
   std::vector<const View*> built(shape_.node_count(), nullptr);
   // Nodes were appended children-before-parents by the shape builder, so a
   // forward pass sees children already built.
@@ -37,7 +34,7 @@ FArraySnapshot::FArraySnapshot(std::uint32_t num_processes)
     }
     initial_views_.push_back(std::move(view));
     built[id] = &initial_views_.back();
-    nodes_[id].value.store(built[id], std::memory_order_relaxed);
+    nodes_.emplace_back(built[id]);
   }
 }
 
@@ -63,19 +60,17 @@ void FArraySnapshot::update(ProcId proc, Value v) {
   arenas_[proc].push_back(std::move(leaf_view));
   const View* leaf_ptr = &arenas_[proc].back();
   const auto leaf = shape_.leaf(proc);
-  runtime::step_tick();
   // Release publishes the freshly built View behind leaf_ptr; every reader
   // of this cell (propagate_twice's acquire child loads, scan's acquire
   // root load) dereferences it.
-  nodes_[leaf].value.store(leaf_ptr, runtime::mo_release);
+  nodes_[leaf].store(leaf_ptr, runtime::mo_release);
   maxreg::propagate_twice(
       shape_, maxreg::padded_cells(nodes_), leaf,
       [this, proc](const View* l, const View* r) { return merge(proc, l, r); });
 }
 
 std::vector<Value> FArraySnapshot::scan(ProcId /*proc*/) const {
-  runtime::step_tick();
-  const View* root = nodes_[shape_.root()].value.load(runtime::mo_acquire);
+  const View* root = nodes_[shape_.root()].load(runtime::mo_acquire);
   std::vector<Value> values(n_);
   for (std::uint32_t pos = 0; pos < n_; ++pos) {
     values[slot_at_[pos]] = root->entries[pos].value;
@@ -85,8 +80,7 @@ std::vector<Value> FArraySnapshot::scan(ProcId /*proc*/) const {
 
 std::vector<std::pair<Value, std::uint64_t>> FArraySnapshot::scan_versions(
     ProcId /*proc*/) const {
-  runtime::step_tick();
-  const View* root = nodes_[shape_.root()].value.load(runtime::mo_acquire);
+  const View* root = nodes_[shape_.root()].load(runtime::mo_acquire);
   std::vector<std::pair<Value, std::uint64_t>> out(n_);
   for (std::uint32_t pos = 0; pos < n_; ++pos) {
     const Entry& e = root->entries[pos];

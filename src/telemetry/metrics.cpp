@@ -25,8 +25,6 @@ ProdMetrics make_prod_metrics() {
   m.mcas_helps = r.counter("mcas", "helps");
   m.mcas_rdcss_helps = r.counter("mcas", "rdcss_helps");
   m.mcas_cas_failures = r.counter("mcas", "cas_failures");
-  m.farray_updates = r.counter("farray", "updates");
-  m.farray_reads = r.counter("farray", "reads");
   m.harness_runs = r.counter("runtime", "harness_runs");
   m.harness_threads = r.counter("runtime", "harness_threads");
   m.harness_wall_us = r.counter("runtime", "harness_wall_us");

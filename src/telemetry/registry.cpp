@@ -28,7 +28,6 @@ void append_json_string(std::ostringstream& out, std::string_view s) {
 const char* to_string(Kind k) noexcept {
   switch (k) {
     case Kind::kCounter: return "counter";
-    case Kind::kGauge: return "gauge";
     case Kind::kHistogram: return "histogram";
   }
   return "unknown";
@@ -75,7 +74,7 @@ std::uint32_t Registry::register_metric(std::string_view domain,
   for (std::uint32_t i = 0; i < defs_.size(); ++i) {
     const MetricDef& d = defs_[i];
     if (d.domain == domain && d.name == name) {
-      if (d.kind != kind || (kind != Kind::kGauge && d.cells != cells)) {
+      if (d.kind != kind || d.cells != cells) {
         throw std::invalid_argument("telemetry: metric '" +
                                     std::string(domain) + "/" +
                                     std::string(name) +
@@ -88,19 +87,14 @@ std::uint32_t Registry::register_metric(std::string_view domain,
   def.domain = std::string(domain);
   def.name = std::string(name);
   def.kind = kind;
-  if (kind == Kind::kGauge) {
-    def.gauge_index = static_cast<std::uint32_t>(gauges_.size());
-    gauges_.emplace_back(0);
-  } else {
-    if (next_cell_ + cells > capacity_) {
-      throw std::length_error(
-          "telemetry: registry cell capacity exhausted (raise "
-          "Registry::cell_capacity)");
-    }
-    def.first_cell = next_cell_;
-    def.cells = cells;
-    next_cell_ += cells;
+  if (next_cell_ + cells > capacity_) {
+    throw std::length_error(
+        "telemetry: registry cell capacity exhausted (raise "
+        "Registry::cell_capacity)");
   }
+  def.first_cell = next_cell_;
+  def.cells = cells;
+  next_cell_ += cells;
   defs_.push_back(std::move(def));
   return static_cast<std::uint32_t>(defs_.size() - 1);
 }
@@ -115,16 +109,6 @@ Counter Registry::counter(std::string_view domain, std::string_view name) {
     c.cell_ = defs_[idx].first_cell;
   }
   return c;
-}
-
-Gauge Registry::gauge(std::string_view domain, std::string_view name) {
-  const std::uint32_t idx = register_metric(domain, name, Kind::kGauge, 0);
-  Gauge g;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    g.cell_ = &gauges_[defs_[idx].gauge_index];
-  }
-  return g;
 }
 
 Histogram Registry::histogram(std::string_view domain, std::string_view name,
@@ -165,9 +149,6 @@ Snapshot Registry::snapshot() const {
       case Kind::kCounter:
         m.value = totals[d.first_cell];
         break;
-      case Kind::kGauge:
-        m.gauge = gauges_[d.gauge_index].load(std::memory_order_relaxed);
-        break;
       case Kind::kHistogram: {
         const std::uint32_t buckets = d.cells - 1;
         m.buckets.assign(totals.begin() + d.first_cell,
@@ -190,7 +171,6 @@ void Registry::reset() noexcept {
       cell.value.store(0, std::memory_order_relaxed);
     }
   }
-  for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
 }
 
 std::size_t Registry::num_metrics() const {
@@ -219,7 +199,6 @@ void Snapshot::merge(const Snapshot& other) {
       continue;
     }
     mine->value += om.value;
-    mine->gauge = om.gauge;  // last writer wins, like the live gauge
     mine->overflow += om.overflow;
     if (mine->buckets.size() < om.buckets.size()) {
       mine->buckets.resize(om.buckets.size(), 0);
@@ -253,9 +232,6 @@ std::string Snapshot::to_json() const {
     switch (m.kind) {
       case Kind::kCounter:
         out << ",\"value\":" << m.value;
-        break;
-      case Kind::kGauge:
-        out << ",\"value\":" << m.gauge;
         break;
       case Kind::kHistogram:
         out << ",\"count\":" << m.value << ",\"buckets\":[";

@@ -134,5 +134,29 @@ TEST(GoldenSteps, SoftwareMcas) {
   EXPECT_EQ(steps([&] { (void)a.read(0, 1); }), 1u);
 }
 
+TEST(GoldenSteps, ConstructionTakesNoSteps) {
+  // Building an object -- filling its cells, AAC switch trees, the
+  // f-array snapshot's initial views -- is setup, not shared-memory events.
+  EXPECT_EQ(steps([] { maxreg::TreeMaxRegister r{64}; }), 0u);
+  EXPECT_EQ(steps([] { maxreg::AacMaxRegister r{1 << 20}; }), 0u);
+  EXPECT_EQ(steps([] { maxreg::UnboundedAacMaxRegister r{20}; }), 0u);
+  EXPECT_EQ(steps([] { maxreg::CasMaxRegister r; }), 0u);
+  EXPECT_EQ(steps([] { maxreg::LockMaxRegister r; }), 0u);
+  EXPECT_EQ(steps([] { farray::MaxFArray a{64, 0}; }), 0u);
+  EXPECT_EQ(steps([] { counter::FArrayCounter c{64}; }), 0u);
+  EXPECT_EQ(steps([] { counter::MaxRegCounter c{16, 255}; }), 0u);
+  EXPECT_EQ(steps([] { counter::UnboundedMaxRegCounter c{16}; }), 0u);
+  EXPECT_EQ(steps([] { counter::FetchAddCounter c; }), 0u);
+  EXPECT_EQ(steps([] { counter::KcasCounter c{8}; }), 0u);
+  EXPECT_EQ(steps([] {
+              counter::SnapshotCounter<snapshot::FArraySnapshot> c{8};
+            }),
+            0u);
+  EXPECT_EQ(steps([] { snapshot::FArraySnapshot s{64}; }), 0u);
+  EXPECT_EQ(steps([] { snapshot::AfekSnapshot s{12}; }), 0u);
+  EXPECT_EQ(steps([] { snapshot::DoubleCollectSnapshot s{12}; }), 0u);
+  EXPECT_EQ(steps([] { kcas::McasArray a{16, 7, 4}; }), 0u);
+}
+
 }  // namespace
 }  // namespace ruco

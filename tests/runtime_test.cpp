@@ -14,37 +14,97 @@ namespace ruco::runtime {
 namespace {
 
 TEST(StepCount, ScopeMeasuresTicks) {
+  Shared<int> cell{0};
   StepScope scope;
   EXPECT_EQ(scope.taken(), 0u);
-  step_tick();
-  step_tick();
-  step_tick();
+  cell.store(1);
+  cell.store(2);
+  (void)cell.load();
   EXPECT_EQ(scope.taken(), 3u);
 }
 
 TEST(StepCount, ScopesNest) {
+  Shared<int> cell{0};
   StepScope outer;
-  step_tick();
+  cell.store(1);
   {
     StepScope inner;
-    step_tick();
-    step_tick();
+    (void)cell.load();
+    (void)cell.load();
     EXPECT_EQ(inner.taken(), 2u);
   }
   EXPECT_EQ(outer.taken(), 3u);
 }
 
 TEST(StepCount, PerThreadIsolation) {
-  step_tick();
+  Shared<int> cell{0};
+  cell.store(1);
   const std::uint64_t mine = thread_steps();
   std::uint64_t theirs = 0;
-  std::thread t{[&theirs] {
+  std::thread t{[&theirs, &cell] {
     theirs = thread_steps();  // fresh thread: zero
-    step_tick();
+    cell.store(2);
   }};
   t.join();
   EXPECT_EQ(theirs, 0u);
-  EXPECT_EQ(thread_steps(), mine);  // their tick did not leak here
+  EXPECT_EQ(thread_steps(), mine);  // their step did not leak here
+}
+
+TEST(Shared, EveryOperationIsOneStep) {
+  Shared<std::int64_t> cell{5};
+  const auto one_step = [](auto&& op) {
+    StepScope scope;
+    op();
+    return scope.taken();
+  };
+  EXPECT_EQ(one_step([&] { EXPECT_EQ(cell.load(), 5); }), 1u);
+  EXPECT_EQ(one_step([&] { cell.store(6, std::memory_order_release); }), 1u);
+  EXPECT_EQ(one_step([&] { EXPECT_EQ(cell.fetch_add(1), 6); }), 1u);
+  std::int64_t expected = 7;
+  EXPECT_EQ(one_step([&] {
+              EXPECT_TRUE(cell.compare_exchange_strong(expected, 8));
+            }),
+            1u);
+  expected = 0;
+  EXPECT_EQ(one_step([&] {  // a failed CAS is a step too
+              EXPECT_FALSE(cell.compare_exchange_strong(
+                  expected, 9, std::memory_order_acq_rel,
+                  std::memory_order_acquire));
+            }),
+            1u);
+  EXPECT_EQ(expected, 8);
+  expected = 0;
+  EXPECT_EQ(one_step([&] {
+              EXPECT_FALSE(cell.compare_exchange_weak(
+                  expected, 9, std::memory_order_release));
+            }),
+            1u);
+  EXPECT_EQ(cell.load(std::memory_order_relaxed), 8);
+}
+
+TEST(Shared, SetupCopiesAreNotSteps) {
+  StepScope scope;
+  Shared<int> a{3};
+  Shared<int> b{a};
+  b = a;
+  std::vector<PaddedShared<int>> cells(8, PaddedShared<int>{4});
+  cells.assign(16, PaddedShared<int>{5});
+  std::vector<Shared<std::uint8_t>> switches(64);
+  EXPECT_EQ(scope.taken(), 0u);
+  EXPECT_EQ(b.load(), 3);
+  EXPECT_EQ(cells[15].load(), 5);
+  EXPECT_EQ(switches[63].load(), 0);
+}
+
+TEST(Shared, PaddedFormFillsACacheLineAndSwitchesStayOneByte) {
+  static_assert(sizeof(PaddedShared<std::int64_t>) == kCacheLine);
+  static_assert(alignof(PaddedShared<std::int64_t>) == kCacheLine);
+  static_assert(sizeof(PaddedShared<std::uint8_t>) == kCacheLine);
+  static_assert(sizeof(Shared<std::uint8_t>) == 1);
+  std::vector<PaddedShared<std::int64_t>> v(2);
+  const auto a = reinterpret_cast<std::uintptr_t>(&v[0]);
+  const auto b = reinterpret_cast<std::uintptr_t>(&v[1]);
+  EXPECT_GE(b - a, kCacheLine);
 }
 
 TEST(Padded, EachAtomicOnOwnCacheLine) {

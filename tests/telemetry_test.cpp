@@ -1,5 +1,5 @@
 // Telemetry subsystem tests: metric registry semantics (sharded counters,
-// gauges, histograms, snapshot/merge/JSON), Perfetto timeline structural
+// histograms, snapshot/merge/JSON), Perfetto timeline structural
 // validation for both a simulated Algorithm A execution and a real
 // 4-thread hardware run, contention accounting from sim traces, and the
 // ISSUE's determinism contract: model-checker executions and prune counts
@@ -45,18 +45,6 @@ TEST(Registry, CounterAccumulatesAcrossThreads) {
   EXPECT_EQ(m->value, 4000u);
 }
 
-TEST(Registry, GaugeLastWriteWins) {
-  Registry reg;
-  const Gauge g = reg.gauge("test", "level");
-  g.set(7);
-  g.add(-2);
-  const auto snap = reg.snapshot();
-  const auto* m = snap.find("test", "level");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->kind, Kind::kGauge);
-  EXPECT_EQ(m->gauge, 5);
-}
-
 TEST(Registry, HistogramBucketsAndOverflow) {
   Registry reg;
   const Histogram h = reg.histogram("test", "depth", 4);
@@ -83,7 +71,7 @@ TEST(Registry, ReRegistrationIsIdempotentAndCheckedForShape) {
   a.inc();
   b.inc();
   EXPECT_EQ(reg.snapshot().find("d", "x")->value, 2u);
-  EXPECT_THROW((void)reg.gauge("d", "x"), std::invalid_argument);
+  EXPECT_THROW((void)reg.histogram("d", "x", 1), std::invalid_argument);
   const Histogram h = reg.histogram("d", "h", 8);
   (void)h;
   EXPECT_THROW((void)reg.histogram("d", "h", 16), std::invalid_argument);
@@ -92,13 +80,13 @@ TEST(Registry, ReRegistrationIsIdempotentAndCheckedForShape) {
 TEST(Registry, ResetZeroesEverything) {
   Registry reg;
   const Counter c = reg.counter("d", "c");
-  const Gauge g = reg.gauge("d", "g");
+  const Histogram h = reg.histogram("d", "h", 2);
   c.add(10);
-  g.set(3);
+  h.record(1);
   reg.reset();
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.find("d", "c")->value, 0u);
-  EXPECT_EQ(snap.find("d", "g")->gauge, 0);
+  EXPECT_EQ(snap.find("d", "h")->value, 0u);
 }
 
 TEST(Registry, CapacityExhaustionThrows) {

@@ -51,8 +51,11 @@
 //       failures, the refuting witness for every mutation site -- as
 //       text files for CI artifact upload.
 //
-// Exit code 0 iff every check performed passed.
+// Exit code 0 iff every check performed passed.  A flag the subcommand does
+// not take, a stray argument, or a malformed or out-of-range number prints
+// an error and exits 2.
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -60,6 +63,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -89,22 +93,52 @@ using ruco::Value;
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
+  std::vector<std::string> strays;  // arguments that are not --flags
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
+  /// The whole-string decimal value of --key, in range for T; throws on
+  /// anything else.  A bare flag (--progress) counts as "present, default
+  /// value".
+  template <typename T>
+  [[nodiscard]] T get_num(const std::string& key, T fallback) const {
     const auto it = options.find(key);
-    // A bare flag (--progress) counts as "present, default value".
-    return it == options.end() || it->second.empty() ? fallback
-                                                     : std::stoull(it->second);
+    if (it == options.end() || it->second.empty()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc{} || end != last) {
+      throw std::invalid_argument{std::string{"--"}
+                                      .append(key)
+                                      .append("=")
+                                      .append(text)
+                                      .append(": not a number in range")};
+    }
+    return value;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return options.count(key) != 0;
   }
+};
+
+/// The flags each subcommand takes.
+const std::map<std::string, std::set<std::string>> kSubcommandFlags = {
+    {"adversary", {"target", "k", "max-iter", "min-active"}},
+    {"starve", {"counter", "n"}},
+    {"run",
+     {"target", "k", "seed", "pct", "show", "dot", "crash-proc", "crash-step",
+      "crash-rate", "max-crashes", "spurious", "fault-seed", "telemetry",
+      "perfetto"}},
+    {"certify",
+     {"target", "k", "sweep", "storms", "bound", "jobs", "progress"}},
+    {"check",
+     {"target", "k", "bound", "max-crashes", "max-execs", "por", "jobs",
+      "legacy", "progress", "telemetry"}},
+    {"wmm", {"dump-dir", "max-violations"}},
 };
 
 Args parse(int argc, char** argv) {
@@ -112,7 +146,10 @@ Args parse(int argc, char** argv) {
   if (argc > 1) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;
+    if (token.rfind("--", 0) != 0) {
+      args.strays.push_back(token);
+      continue;
+    }
     token = token.substr(2);
     const auto eq = token.find('=');
     if (eq == std::string::npos) {
@@ -154,24 +191,21 @@ ruco::simalgos::MaxRegProgram make_target(const std::string& name,
 bool parse_fault_plan(const Args& args, std::uint64_t fallback_seed,
                       ruco::sim::FaultPlan& plan) {
   bool faulty = false;
-  plan.seed = args.get_u64("fault-seed", fallback_seed);
+  plan.seed = args.get_num<std::uint64_t>("fault-seed", fallback_seed);
   if (args.has("crash-proc")) {
     plan.crash_at.push_back(ruco::sim::CrashPoint{
-        static_cast<ProcId>(args.get_u64("crash-proc", 0)),
-        args.get_u64("crash-step", 0),
+        args.get_num<ProcId>("crash-proc", 0),
+        args.get_num<std::uint64_t>("crash-step", 0),
         ruco::sim::CrashPoint::Basis::kOwnSteps});
     faulty = true;
   }
   if (args.has("crash-rate")) {
-    plan.crash_per_mille =
-        static_cast<std::uint32_t>(args.get_u64("crash-rate", 50));
-    plan.max_random_crashes =
-        static_cast<std::uint32_t>(args.get_u64("max-crashes", 1));
+    plan.crash_per_mille = args.get_num<std::uint32_t>("crash-rate", 50);
+    plan.max_random_crashes = args.get_num<std::uint32_t>("max-crashes", 1);
     faulty = true;
   }
   if (args.has("spurious")) {
-    plan.spurious_cas_per_mille =
-        static_cast<std::uint32_t>(args.get_u64("spurious", 100));
+    plan.spurious_cas_per_mille = args.get_num<std::uint32_t>("spurious", 100);
     faulty = true;
   }
   return faulty;
@@ -189,10 +223,10 @@ bool write_text_file(const std::string& path, const std::string& text) {
 
 int cmd_adversary(const Args& args) {
   const std::string target = args.get("target", "cas");
-  const auto k = static_cast<std::uint32_t>(args.get_u64("k", 256));
+  const auto k = args.get_num<std::uint32_t>("k", 256);
   ruco::adversary::MaxRegAdversaryOptions opts;
-  opts.max_iterations = args.get_u64("max-iter", 32);
-  opts.min_active = args.get_u64("min-active", 8);
+  opts.max_iterations = args.get_num<std::uint64_t>("max-iter", 32);
+  opts.min_active = args.get_num<std::uint64_t>("min-active", 8);
   const auto report =
       ruco::adversary::run_maxreg_adversary(make_target(target, k), opts);
 
@@ -220,7 +254,7 @@ int cmd_adversary(const Args& args) {
 
 int cmd_starve(const Args& args) {
   const std::string counter = args.get("counter", "farray");
-  const auto n = static_cast<std::uint32_t>(args.get_u64("n", 81));
+  const auto n = args.get_num<std::uint32_t>("n", 81);
   ruco::simalgos::CounterProgram program =
       counter == "maxreg"
           ? ruco::simalgos::make_maxreg_counter_program(
@@ -244,8 +278,8 @@ int cmd_starve(const Args& args) {
 
 int cmd_run(const Args& args) {
   const std::string target = args.get("target", "tree");
-  const auto k = static_cast<std::uint32_t>(args.get_u64("k", 8));
-  const std::uint64_t seed = args.get_u64("seed", 1);
+  const auto k = args.get_num<std::uint32_t>("k", 8);
+  const std::uint64_t seed = args.get_num<std::uint64_t>("seed", 1);
   auto bundle = make_target(target, k);
   ruco::sim::System sys{bundle.program};
   const bool want_telemetry = args.has("telemetry");
@@ -298,7 +332,7 @@ int cmd_run(const Args& args) {
   const auto res = ruco::lincheck::check_linearizable(
       ruco::lincheck::from_sim_history(sys.history()),
       ruco::lincheck::MaxRegisterSpec{});
-  const auto show = args.get_u64("show", 24);
+  const auto show = args.get_num<std::uint64_t>("show", 24);
   ruco::sim::TraceRenderOptions render;
   render.max_events = show;
   std::cout << ruco::sim::render_trace(sys.trace(), sys.num_processes(),
@@ -361,15 +395,15 @@ int cmd_run(const Args& args) {
 
 int cmd_certify(const Args& args) {
   const std::string target = args.get("target", "tree");
-  const auto k = static_cast<std::uint32_t>(args.get_u64("k", 8));
+  const auto k = args.get_num<std::uint32_t>("k", 8);
   auto bundle = make_target(target, k);
   ruco::sim::WaitFreedomOptions opts;
-  opts.step_bound = args.get_u64("bound", 0);
-  opts.sweep_steps = args.get_u64("sweep", 16);
-  opts.storm_seeds = args.get_u64("storms", 8);
-  opts.jobs = static_cast<std::uint32_t>(args.get_u64("jobs", 1));
+  opts.step_bound = args.get_num<std::uint64_t>("bound", 0);
+  opts.sweep_steps = args.get_num<std::uint64_t>("sweep", 16);
+  opts.storm_seeds = args.get_num<std::uint64_t>("storms", 8);
+  opts.jobs = args.get_num<std::uint32_t>("jobs", 1);
   if (args.has("progress")) {
-    opts.progress_interval = args.get_u64("progress", 64);
+    opts.progress_interval = args.get_num<std::uint64_t>("progress", 64);
     opts.on_progress = [](const ruco::sim::CertifyProgress& p) {
       std::cerr << "certify: " << p.schedules_done << "/"
                 << p.schedules_total << " schedules, "
@@ -395,24 +429,23 @@ int cmd_certify(const Args& args) {
 
 int cmd_check(const Args& args) {
   const std::string target = args.get("target", "cas");
-  const auto k = static_cast<std::uint32_t>(args.get_u64("k", 3));
+  const auto k = args.get_num<std::uint32_t>("k", 3);
   auto bundle = make_target(target, k);
   ruco::sim::ModelCheckOptions opts;
-  opts.max_executions = args.get_u64("max-execs", 0);
+  opts.max_executions = args.get_num<std::uint64_t>("max-execs", 0);
   if (args.has("bound")) {
-    opts.preemption_bound =
-        static_cast<std::uint32_t>(args.get_u64("bound", 0));
+    opts.preemption_bound = args.get_num<std::uint32_t>("bound", 0);
   }
-  opts.max_crashes =
-      static_cast<std::uint32_t>(args.get_u64("max-crashes", 0));
+  opts.max_crashes = args.get_num<std::uint32_t>("max-crashes", 0);
   opts.por = args.has("por");
-  opts.jobs = static_cast<std::uint32_t>(args.get_u64("jobs", 1));
+  opts.jobs = args.get_num<std::uint32_t>("jobs", 1);
   if (args.has("legacy")) {
     opts.engine = ruco::sim::ModelCheckOptions::Engine::kLegacyRecursive;
   }
   ruco::sim::ModelCheckTelemetry heartbeat;
   if (args.has("progress")) {
-    heartbeat.interval_executions = args.get_u64("progress", 10'000);
+    heartbeat.interval_executions =
+        args.get_num<std::uint64_t>("progress", 10'000);
     heartbeat.on_progress = [](const ruco::sim::ModelCheckProgress& p) {
       std::cerr << "check: " << p.executions << " execs, "
                 << static_cast<std::uint64_t>(p.executions_per_sec)
@@ -521,7 +554,7 @@ std::string wmm_joint(const std::vector<Value>& tuple) {
 int cmd_wmm(const Args& args) {
   const std::string dump_dir = args.get("dump-dir", "");
   if (!dump_dir.empty()) std::filesystem::create_directories(dump_dir);
-  const std::size_t max_violations = args.get_u64("max-violations", 4);
+  const auto max_violations = args.get_num<std::size_t>("max-violations", 4);
   bool all_ok = true;
   const auto dump = [&](const std::string& slug, const std::string& text) {
     if (dump_dir.empty()) return;
@@ -631,6 +664,19 @@ int usage() {
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
+  const auto flags = kSubcommandFlags.find(args.command);
+  if (flags == kSubcommandFlags.end()) return usage();
+  for (const std::string& stray : args.strays) {
+    std::cerr << "error: unexpected argument '" << stray << "'\n";
+    return usage();
+  }
+  for (const auto& [flag, value] : args.options) {
+    if (flags->second.count(flag) == 0) {
+      std::cerr << "error: " << args.command << " takes no --" << flag
+                << "\n";
+      return usage();
+    }
+  }
   try {
     if (args.command == "adversary") return cmd_adversary(args);
     if (args.command == "starve") return cmd_starve(args);
