@@ -6,8 +6,8 @@
 // crashed lock holder and the survivors spin until the schedule budget
 // runs out.
 //
-// --json <path> dumps the table as JSON; --smoke shrinks the seed count
-// for fast CI runs.
+// --json <path> dumps the table as JSON (exit 1 when it cannot be
+// written); --smoke shrinks the seed count for fast CI runs.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -123,6 +123,11 @@ int main(int argc, char** argv) {
           << (i + 1 == rows.size() ? "" : ",") << "\n";
     }
     out << "  ]\n}\n";
+    out.close();
+    if (!out) {
+      std::cerr << "cannot write " << json_path << "\n";
+      return 1;
+    }
     std::cout << "\nwrote " << json_path << "\n";
   }
   std::cout

@@ -1,6 +1,6 @@
 // Hardware throughput with cross-layer telemetry: ops/sec, shared-memory
 // steps/op (the paper's complexity measure, from runtime::thread_steps),
-// and CAS failure rate (from the ruco::telemetry registry deltas) for the
+// and CAS failure rate (from ruco::telemetry counter deltas) for the
 // production max-register, counter and snapshot implementations under real
 // threads.
 //
@@ -27,7 +27,8 @@
 //   --sweep       run each workload at 1, 2, 4, ... up to --threads
 //   --json <path>     machine-readable results
 //   --perfetto <path> sampled op timeline (open at ui.perfetto.dev)
-// Any other argument, or a malformed number, prints usage and exits 2.
+// Any other argument, or a malformed number, prints usage and exits 2; a
+// --json path that cannot be written exits 1.
 #include <atomic>
 #include <charconv>
 #include <chrono>
@@ -436,6 +437,11 @@ int main(int argc, char** argv) {
           << (i + 1 == results.size() ? "" : ",") << "\n";
     }
     out << "  ]\n}\n";
+    out.close();
+    if (!out) {
+      std::cerr << "cannot write " << json_path << "\n";
+      return 1;
+    }
     std::cout << "\nwrote " << json_path << "\n";
   }
   if (!perfetto_path.empty()) {

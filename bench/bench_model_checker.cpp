@@ -26,8 +26,8 @@
 //     tickets), wall time should drop near-linearly.
 //
 // --json <path> writes the measurements (including the headline speedup)
-// as JSON for CI and the checked-in BENCH_model_checker.json; --smoke
-// shrinks the workloads for fast CI runs.
+// as JSON for CI and the checked-in BENCH_model_checker.json (exit 1 when
+// it cannot be written); --smoke shrinks the workloads for fast CI runs.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -138,7 +138,8 @@ struct Measurement {
 };
 
 /// JSON-escapes nothing fancy: all our strings are plain ASCII labels.
-void write_json(const std::string& path, bool smoke,
+/// False when the file could not be written.
+bool write_json(const std::string& path, bool smoke,
                 const std::vector<Measurement>& rows, double baseline_ms,
                 double optimized_ms,
                 const std::vector<std::pair<std::uint32_t, double>>& scaling) {
@@ -177,6 +178,8 @@ void write_json(const std::string& path, bool smoke,
         << "}" << (i + 1 == rows.size() ? "" : ",") << "\n";
   }
   out << "  ]\n}\n";
+  out.close();
+  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -351,7 +354,11 @@ int main(int argc, char** argv) {
          "workers.\n";
 
   if (!json_path.empty()) {
-    write_json(json_path, smoke, rows, baseline_ms, optimized_ms, scaling);
+    if (!write_json(json_path, smoke, rows, baseline_ms, optimized_ms,
+                    scaling)) {
+      std::cerr << "cannot write " << json_path << "\n";
+      return 1;
+    }
     std::cout << "\nwrote " << json_path << "\n";
   }
   return 0;

@@ -71,7 +71,7 @@
 #include "ruco/maxreg/refresh_policy.h"
 #include "ruco/runtime/memorder.h"
 #include "ruco/runtime/stepcount.h"
-#include "ruco/telemetry/metrics.h"
+#include "ruco/telemetry/registry.h"
 
 namespace ruco::maxreg {
 
@@ -156,12 +156,15 @@ void propagate_twice(const Shape& shape, Cell&& cell,
     }
   }
   if (levels != 0) {
-    const telemetry::ProdMetrics& tm = telemetry::prod();
-    tm.propagate_levels.add(levels);
-    tm.propagate_cas_attempts.add(attempts);  // actual CASes, not levels * 2
-    if (failures != 0) tm.propagate_cas_failures.add(failures);
-    if (second_rounds != 0) tm.propagate_second_rounds.add(second_rounds);
-    if (skipped != 0) tm.propagate_cas_skips.add(skipped);
+    using telemetry::Metric;
+    telemetry::add(Metric::kPropagateLevels, levels);
+    // Actual CASes, not levels * 2.
+    telemetry::add(Metric::kPropagateCasAttempts, attempts);
+    if (failures != 0) telemetry::add(Metric::kPropagateCasFailures, failures);
+    if (second_rounds != 0) {
+      telemetry::add(Metric::kPropagateSecondRounds, second_rounds);
+    }
+    if (skipped != 0) telemetry::add(Metric::kPropagateCasSkips, skipped);
   }
 }
 

@@ -55,7 +55,7 @@ class FArraySnapshot {
                                  // left-to-right leaf position order
   };
 
-  [[nodiscard]] const View* merge(ProcId proc, const View* l, const View* r);
+  [[nodiscard]] const View* concat(ProcId proc, const View* l, const View* r);
 
   std::uint32_t n_;
   util::TreeShape shape_;

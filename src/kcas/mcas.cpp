@@ -5,7 +5,6 @@
 
 #include "ruco/runtime/backoff.h"
 #include "ruco/runtime/memorder.h"
-#include "ruco/telemetry/metrics.h"
 
 // Memory orders (DESIGN.md "Hot-path memory orders").  Descriptors are
 // cross-thread mutable state published by CASing tagged pointers into
@@ -70,7 +69,6 @@ McasArray::Word McasArray::rdcss(RdcssDescriptor* d) {
     if (is_rdcss(current)) {
       // Someone else's acquisition is parked here: finish it and retry,
       // backing off (bounded) before re-contending the cell.
-      telemetry::prod().mcas_rdcss_helps.inc();
       rdcss_complete(as_rdcss(current));
       backoff.pause();
       continue;
@@ -102,7 +100,6 @@ bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
             // A different MCAS holds the word: help it finish, then retry
             // after a bounded backoff (helping storms thrash the word's
             // line; the helped op has already made our progress).
-            telemetry::prod().mcas_helps.inc();
             mcas_help(proc, as_mcas(content));
             backoff.pause();
             continue;
@@ -110,7 +107,6 @@ bool McasArray::mcas_help(ProcId proc, McasDescriptor* d) {
           break;  // already acquired for d (by a helper)
         }
         if (content != pack_value(word.expected)) {
-          telemetry::prod().mcas_cas_failures.inc();
           desired_status = static_cast<std::uintptr_t>(Status::kFailed);
         }
         break;
@@ -144,13 +140,11 @@ Value McasArray::read(ProcId proc, std::uint32_t index) {
   for (;;) {
     const Word w = cells_[index].load(runtime::mo_acquire);
     if (is_rdcss(w)) {
-      telemetry::prod().mcas_rdcss_helps.inc();
       rdcss_complete(as_rdcss(w));
       backoff.pause();
       continue;
     }
     if (is_mcas(w)) {
-      telemetry::prod().mcas_helps.inc();
       mcas_help(proc, as_mcas(w));
       backoff.pause();
       continue;
@@ -175,7 +169,6 @@ bool McasArray::mcas(ProcId proc, std::vector<McasWord> words) {
     (void)pack_value(words[i].expected);  // range checks, loud
     (void)pack_value(words[i].desired);
   }
-  telemetry::prod().mcas_ops.inc();
   McasDescriptor* d = &arenas_[proc].mcas.emplace_back();
   d->words = std::move(words);
   return mcas_help(proc, d);

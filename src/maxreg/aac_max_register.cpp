@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "ruco/telemetry/metrics.h"
 #include "ruco/util/bits.h"
 
 namespace ruco::maxreg {
@@ -50,10 +49,7 @@ void AacMaxRegister::write_max(ProcId /*proc*/, Value v) {
   Value rest = v;
   for (std::uint32_t d = 0; d < levels_; ++d, half >>= 1) {
     if (rest < half) {
-      if (switches_[node].load() != 0) {  // abandon: dominated
-        telemetry::prod().aac_write_abandons.inc();
-        break;
-      }
+      if (switches_[node].load() != 0) break;  // abandon: dominated
       node = 2 * node;
     } else {
       right_turns[num_right_turns++] = node;
@@ -66,7 +62,6 @@ void AacMaxRegister::write_max(ProcId /*proc*/, Value v) {
   // exactly like the recursive original returning through its callers.
   for (std::size_t i = num_right_turns; i-- > 0;) {
     switches_[right_turns[i]].store(1);
-    telemetry::prod().aac_switches_set.inc();
   }
   any_write_.store(1);
 }

@@ -5,7 +5,7 @@
 
 #include "ruco/runtime/backoff.h"
 #include "ruco/runtime/memorder.h"
-#include "ruco/telemetry/metrics.h"
+#include "ruco/telemetry/registry.h"
 
 namespace ruco::maxreg {
 
@@ -42,10 +42,9 @@ void CasMaxRegister::write_max(ProcId /*proc*/, Value v) {
     backoff.pause();
   }
   if (attempts != 0) {
-    const telemetry::ProdMetrics& tm = telemetry::prod();
-    tm.maxreg_cas_attempts.add(attempts);
+    telemetry::add(telemetry::Metric::kCasAttempts, attempts);
     const std::uint64_t lost = attempts - (won ? 1 : 0);
-    if (lost != 0) tm.maxreg_cas_failures.add(lost);
+    if (lost != 0) telemetry::add(telemetry::Metric::kCasFailures, lost);
   }
 }
 

@@ -6,7 +6,7 @@
 
 #include "ruco/maxreg/propagate.h"
 #include "ruco/runtime/memorder.h"
-#include "ruco/telemetry/metrics.h"
+#include "ruco/telemetry/registry.h"
 
 namespace ruco::maxreg {
 
@@ -38,21 +38,19 @@ void TreeMaxRegister::write_max(ProcId proc, Value v) {
     // Not applied in kAsPrinted mode, which reproduces the paper's literal
     // pseudocode.
     if (values_[shape_.root()].load(runtime::mo_acquire) >= v) {
-      telemetry::prod().tree_root_fastpath.inc();
+      telemetry::add(telemetry::Metric::kTreeRootFastpath, 1);
       return;
     }
   }
   const auto leaf = v < shape_.num_processes()
                         ? shape_.value_leaf(static_cast<std::uint64_t>(v))
                         : shape_.process_leaf(proc);
-  telemetry::prod().tree_descent_depth.record(shape_.depth(leaf));
   const Value old_value = values_[leaf].load(runtime::mo_acquire);
   if (v <= old_value) {
     // Another write of >= v already reached this leaf.  The paper's printed
     // code returns here; without helping, the other write may not have
     // propagated yet and this (completed) operation could be missed by a
     // subsequent ReadMax.
-    telemetry::prod().tree_duplicate_writes.inc();
     if (mode_ == Faithfulness::kHelpOnDuplicate) {
       propagate_twice(shape_, padded_cells(values_), leaf, combine_max);
     }

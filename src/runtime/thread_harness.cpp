@@ -6,7 +6,7 @@
 #include <memory>
 #include <sstream>
 
-#include "ruco/telemetry/metrics.h"
+#include "ruco/telemetry/registry.h"
 
 namespace ruco::runtime {
 
@@ -23,19 +23,15 @@ std::uint64_t now_us() {
 /// post-barrier body (approximated by the longest worker, which is what
 /// bounds the run).  Telemetry only -- the harness semantics are untouched.
 struct HarnessTiming {
-  explicit HarnessTiming(std::size_t count) : start_us(now_us()) {
-    const auto& tm = telemetry::prod();
-    tm.harness_runs.inc();
-    tm.harness_threads.add(count);
-  }
   void body_started() { body_start_us = now_us(); }
   ~HarnessTiming() {
     const std::uint64_t end = now_us();
-    const auto& tm = telemetry::prod();
-    tm.harness_wall_us.add(end - start_us);
-    if (body_start_us != 0) tm.harness_body_us.add(end - body_start_us);
+    telemetry::add(telemetry::Metric::kHarnessWallUs, end - start_us);
+    if (body_start_us != 0) {
+      telemetry::add(telemetry::Metric::kHarnessBodyUs, end - body_start_us);
+    }
   }
-  std::uint64_t start_us = 0;
+  std::uint64_t start_us = now_us();
   std::uint64_t body_start_us = 0;
 };
 
@@ -44,7 +40,7 @@ struct HarnessTiming {
 void run_threads(std::size_t count,
                  const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  HarnessTiming timing{count};
+  HarnessTiming timing;
   if (count == 1) {
     timing.body_started();
     body(0);
@@ -72,7 +68,7 @@ RunThreadsResult run_threads(std::size_t count,
     return result;
   }
   if (count == 0) return result;
-  HarnessTiming timing{count};
+  HarnessTiming timing;
   // Workers flag completion individually so the watchdog can name exactly
   // which thread is stuck, not just that some thread is.
   const auto finished_flags =

@@ -38,8 +38,9 @@ FArraySnapshot::FArraySnapshot(std::uint32_t num_processes)
   }
 }
 
-const FArraySnapshot::View* FArraySnapshot::merge(ProcId proc, const View* l,
-                                                  const View* r) {
+const FArraySnapshot::View* FArraySnapshot::concat(ProcId proc,
+                                                   const View* l,
+                                                   const View* r) {
   View merged;
   merged.entries.reserve(l->entries.size() + r->entries.size());
   merged.entries = l->entries;
@@ -66,7 +67,7 @@ void FArraySnapshot::update(ProcId proc, Value v) {
   nodes_[leaf].store(leaf_ptr, runtime::mo_release);
   maxreg::propagate_twice(
       shape_, maxreg::padded_cells(nodes_), leaf,
-      [this, proc](const View* l, const View* r) { return merge(proc, l, r); });
+      [this, proc](const View* l, const View* r) { return concat(proc, l, r); });
 }
 
 std::vector<Value> FArraySnapshot::scan(ProcId /*proc*/) const {
