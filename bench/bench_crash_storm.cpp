@@ -64,6 +64,15 @@ int main(int argc, char** argv) {
     if (arg == "--smoke") smoke = true;
     if (arg == "--json" && i + 1 < argc) json_path = argv[++i];
   }
+  // Opened before any storm runs, so an unwritable path fails at once.
+  std::ofstream out;
+  if (!json_path.empty()) {
+    out.open(json_path);
+    if (!out) {
+      std::cerr << "cannot write " << json_path << "\n";
+      return 1;
+    }
+  }
 
   std::cout << "# Crash storms: worst survivor step count vs crashes "
                "injected (f < N = 8)\n\n";
@@ -110,7 +119,6 @@ int main(int argc, char** argv) {
   }
   t.print();
   if (!json_path.empty()) {
-    std::ofstream out{json_path};
     out << "{\n  \"bench\": \"crash_storm\",\n  \"procs\": " << kProcs
         << ",\n  \"seeds\": " << kSeeds << ",\n  \"series\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -175,7 +175,7 @@ std::string row_name(const char* prefix, std::uint64_t n) {
 /// timed apart.  A body gets the next ascending operand v = op index + 1
 /// and returns what it read, if anything.  Op caps keep restricted-use
 /// objects inside their bounds: MaxRegCounter throws past U = 2^16
-/// increments, snapshot updates grow their arenas without reclamation,
+/// increments, Afek snapshot updates grow their arenas without reclamation,
 /// and the AAC write row stops at M - 1 so every write stays a fresh
 /// maximum whatever the window.
 void run_solo_rows(std::uint64_t window_ms,
@@ -184,7 +184,7 @@ void run_solo_rows(std::uint64_t window_ms,
   constexpr Value kAacWriteBound = 1 << 20;
   constexpr Value kMaxRegCounterBound = 1 << 16;
   constexpr std::uint64_t kMaxRegCounterOps = 30000;
-  constexpr std::uint64_t kSnapshotUpdateOps = 20000;
+  constexpr std::uint64_t kAfekUpdateOps = 20000;
   const auto solo = [&](const std::string& name, auto&& body,
                         std::uint64_t max_ops = kNoOpCap) {
     const std::uint32_t op = recorder != nullptr ? recorder->intern(name) : 0;
@@ -274,7 +274,7 @@ void run_solo_rows(std::uint64_t window_ms,
   for (const std::uint32_t n : {8u, 128u}) {
     ruco::snapshot::FArraySnapshot snap{n};
     solo(row_name("f-array snapshot update N=", n),
-         [&](Value v) { snap.update(0, v); }, kSnapshotUpdateOps);
+         [&](Value v) { snap.update(0, v); });
   }
   for (const std::uint32_t n : {8u, 128u}) {
     ruco::snapshot::DoubleCollectSnapshot snap{n};
@@ -285,7 +285,7 @@ void run_solo_rows(std::uint64_t window_ms,
   for (const std::uint32_t n : {8u, 64u}) {
     ruco::snapshot::AfekSnapshot snap{n};
     solo(row_name("afek snapshot update N=", n),
-         [&](Value v) { snap.update(0, v); }, kSnapshotUpdateOps);
+         [&](Value v) { snap.update(0, v); }, kAfekUpdateOps);
   }
 }
 
@@ -342,6 +342,15 @@ int main(int argc, char** argv) {
     window_ms = std::min<std::uint64_t>(window_ms, 50);
   }
   if (threads == 0) threads = 1;
+  // Opened before any workload runs, so an unwritable path fails at once.
+  std::ofstream json;
+  if (!json_path.empty()) {
+    json.open(json_path);
+    if (!json) {
+      std::cerr << "cannot write " << json_path << "\n";
+      return 1;
+    }
+  }
 
   std::cout << "# Hardware throughput with telemetry: " << threads
             << " threads, " << window_ms << " ms per workload"
@@ -422,7 +431,7 @@ int main(int argc, char** argv) {
   t.print();
 
   if (!json_path.empty()) {
-    std::ofstream out{json_path};
+    std::ofstream& out = json;
     out << "{\n  \"bench\": \"hw_throughput\",\n  \"threads\": " << threads
         << ",\n  \"window_ms\": " << window_ms << ",\n  \"series\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {

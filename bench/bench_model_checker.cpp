@@ -139,11 +139,10 @@ struct Measurement {
 
 /// JSON-escapes nothing fancy: all our strings are plain ASCII labels.
 /// False when the file could not be written.
-bool write_json(const std::string& path, bool smoke,
+bool write_json(std::ofstream& out, bool smoke,
                 const std::vector<Measurement>& rows, double baseline_ms,
                 double optimized_ms,
                 const std::vector<std::pair<std::uint32_t, double>>& scaling) {
-  std::ofstream out{path};
   out << "{\n  \"bench\": \"model_checker\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"hardware_cores\": " << std::thread::hardware_concurrency()
@@ -191,6 +190,15 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") smoke = true;
     if (arg == "--json" && i + 1 < argc) json_path = argv[++i];
+  }
+  // Opened before any check runs, so an unwritable path fails at once.
+  std::ofstream json;
+  if (!json_path.empty()) {
+    json.open(json_path);
+    if (!json) {
+      std::cerr << "cannot write " << json_path << "\n";
+      return 1;
+    }
   }
 
   std::cout << "# Context-bounded model checking: coverage vs bound, and "
@@ -354,7 +362,7 @@ int main(int argc, char** argv) {
          "workers.\n";
 
   if (!json_path.empty()) {
-    if (!write_json(json_path, smoke, rows, baseline_ms, optimized_ms,
+    if (!write_json(json, smoke, rows, baseline_ms, optimized_ms,
                     scaling)) {
       std::cerr << "cannot write " << json_path << "\n";
       return 1;

@@ -17,9 +17,12 @@
 // one of them to relaxed exhibits a concrete violating execution (run
 // `rucosim wmm`; CI job `weakmem`).
 //
-// Configuring with -DRUCO_SEQCST_ATOMICS=ON collapses all four constants
-// to seq_cst.  Rationale (DESIGN.md "What the certification covers"): the
-// runtime certification legs validate the *protocol* -- the interleaving
+// Configuring with -DRUCO_SEQCST_ATOMICS=ON collapses the four weaker
+// constants to seq_cst.  mo_seq_cst names the sites that need the single
+// total order in every build (the f-array snapshot's reclamation handoff,
+// ruco/snapshot/epoch.h), so no protocol site spells a literal.
+// Rationale (DESIGN.md "What the certification covers"): the runtime
+// certification legs validate the *protocol* -- the interleaving
 // model checker explores sequentially consistent semantics, TSan proves
 // data-race freedom (which any std::atomic order gives by construction),
 // and CI hardware is x86/TSO -- so a deployment that wants the hot paths
@@ -57,5 +60,6 @@ inline constexpr std::memory_order mo_acquire = std::memory_order_acquire;
 inline constexpr std::memory_order mo_release = std::memory_order_release;
 inline constexpr std::memory_order mo_acq_rel = std::memory_order_acq_rel;
 #endif
+inline constexpr std::memory_order mo_seq_cst = std::memory_order_seq_cst;
 
 }  // namespace ruco::runtime

@@ -96,9 +96,13 @@ TEST(GoldenSteps, Counters) {
 
 TEST(GoldenSteps, Snapshots) {
   {
-    snapshot::FArraySnapshot s{32};  // 5 levels x 4 (conditional) + leaf write
-    EXPECT_EQ(steps([&] { s.update(7, 3); }), 21u);
-    EXPECT_EQ(steps([&] { (void)s.scan(0); }), 1u);
+    // Update: pin (epoch load + announce store) + leaf write + 5 levels x 4
+    // (conditional) + stamp load + 2 announce checks (the pass over 32
+    // slots is not complete, so no advancing CAS) + unpin = 27.
+    snapshot::FArraySnapshot s{32};
+    EXPECT_EQ(steps([&] { s.update(7, 3); }), 27u);
+    // Scan: pin (2) + root load + unpin = 4.
+    EXPECT_EQ(steps([&] { (void)s.scan(0); }), 4u);
   }
   {
     snapshot::AfekSnapshot s{12};

@@ -35,6 +35,8 @@
 #include "ruco/maxreg/refresh_policy.h"
 #include "ruco/sim/model_checker.h"
 #include "ruco/sim/system.h"
+#include "ruco/snapshot/epoch.h"
+#include "ruco/snapshot/farray_snapshot.h"
 #include "ruco/util/rng.h"
 #include "ruco/util/tree_shape.h"
 #include "ruco/wmm/explore.h"
@@ -378,6 +380,100 @@ TEST(WmmKernels, TwoLevelPropagationNeedsTheAcquireNodeLoad) {
       wmm::check_kernel(two_level_counter_kernel(weak), 1);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.violations.front().kind, "invariant");
+}
+
+// The f-array snapshot's reclaim handoff (ruco/snapshot/epoch.h), on the
+// production pin / unpin / advance / reclaimable templates and the
+// snapshot's own view orders.  A scanner pins, loads the root and, if it
+// got view 1, reads the view's plain payload, then unpins.  An updater --
+// standing in for every writer, so it also performs an advance that lands
+// between its own pin-time epoch read and its displacement -- displaces
+// view 1, stamps, advances twice more and rewrites the payload once the
+// stamp is reclaimable.  Invariant: the payload read is race-free and sees
+// the published 42.  Not part of protocol_kernels(): that list is the
+// benchmark's pinned verification work.
+wmm::Kernel reclaim_handoff_kernel(const snapshot::EpochOrders& eo,
+                                   bool stamp_with_pin_epoch = false) {
+  using Orders = snapshot::FArraySnapshot::Orders;
+  wmm::Kernel k;
+  k.name = "reclaim-handoff";
+  auto root = k.program.atomic<Value>("root", 1);  // loc 0: view 1 installed
+  auto epoch = k.program.atomic<Value>(
+      "epoch", static_cast<Value>(snapshot::kFirstEpoch));  // loc 1
+  auto slot = k.program.atomic<Value>(
+      "slot", static_cast<Value>(snapshot::kQuiescent));  // loc 2
+  auto pay = k.program.plain<Value>("pay", 42);  // loc 3: view 1's contents
+  const auto slot_at = [=](std::uint32_t) { return slot; };
+  k.program.thread([=] {
+    snapshot::pin(epoch, slot, eo);
+    const Value v = root.load(Orders::root_read);
+    wmm::observe(v);
+    if (v == 1) wmm::observe(pay.load());
+    snapshot::unpin(slot, eo);
+  });
+  k.program.thread([=] {
+    const auto pinned_at =
+        static_cast<std::uint64_t>(epoch.load(eo.epoch_load));
+    snapshot::AdvanceCursor cursor;
+    snapshot::advance(epoch, slot_at, 1, cursor, pinned_at, 1, eo);
+    Value expected = 1;
+    root.compare_exchange_strong(expected, 2, Orders::cas_ok, Orders::cas_fail);
+    const auto now = static_cast<std::uint64_t>(epoch.load(eo.epoch_load));
+    const std::uint64_t stamp = stamp_with_pin_epoch ? pinned_at : now;
+    std::uint64_t known =
+        snapshot::advance(epoch, slot_at, 1, cursor, now, 1, eo);
+    known = snapshot::advance(epoch, slot_at, 1, cursor, known, 1, eo);
+    if (snapshot::reclaimable(stamp, known)) pay.store(0);
+  });
+  k.invariant = [](const wmm::Graph& g) -> std::string {
+    for (const wmm::Event& e : g.events()) {
+      if (e.kind == wmm::EventKind::kPlainLoad && e.value_read != 42) {
+        return "scanner read a recycled view: payload " +
+               std::to_string(e.value_read);
+      }
+    }
+    return "";
+  };
+  return k;
+}
+
+TEST(WmmReclaim, HandoffAtShippedOrdersIsClean) {
+  const wmm::ExploreResult res =
+      wmm::check_kernel(reclaim_handoff_kernel(snapshot::EpochOrders{}));
+  EXPECT_TRUE(res.complete) << "state space not exhausted";
+  EXPECT_EQ(res.violation_count, 0u)
+      << (res.violations.empty() ? std::string{}
+                                 : res.violations.front().message + "\n" +
+                                       res.violations.front().dump);
+  // Both sides of the race are reachable: the scanner reads view 1, and
+  // the updater rewrites it after the scanner unpinned.
+  EXPECT_TRUE(res.outcomes.count({1, 42}) == 1) << show(res.outcomes);
+  EXPECT_TRUE(std::any_of(res.final_states.begin(), res.final_states.end(),
+                          [](const std::vector<Value>& f) {
+                            return f[3] == 0;
+                          }))
+      << "the updater never reclaimed";
+}
+
+TEST(WmmReclaim, ReleasePinStoreLetsTheUpdaterRecycleAReadView) {
+  // Without seq_cst the pin store may be ordered after the scanner's root
+  // load: the advancer reads the slot quiescent while the scan reads view 1.
+  snapshot::EpochOrders weak;
+  weak.pin = std::memory_order_release;
+  const wmm::ExploreResult res =
+      wmm::check_kernel(reclaim_handoff_kernel(weak), 1);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.violations.front().kind, "data-race");
+}
+
+TEST(WmmReclaim, StampingWithThePinEpochRecyclesOneAdvanceEarly) {
+  // The epoch moved between the updater's pin and its displacement, and
+  // the scanner pinned at the newer epoch: a pin-epoch stamp is
+  // reclaimable one advance before the scanner has to unpin.
+  const wmm::ExploreResult res = wmm::check_kernel(
+      reclaim_handoff_kernel(snapshot::EpochOrders{}, true), 1);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.violations.front().kind, "data-race");
 }
 
 TEST(WmmMutation, EveryWeakenedSiteHasAViolatingExecution) {
